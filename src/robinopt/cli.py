@@ -57,6 +57,31 @@ def _resolve_mesh(args, mu=0.0):
                                           boundary_layer_width=layer)
 
 
+def _finite_float(text):
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _env_jobs():
+    """Worker count from ROBINOPT_JOBS (1 when unset)."""
+    raw = os.environ.get("ROBINOPT_JOBS", "1")
+    try:
+        jobs = int(raw)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise UsageError(
+            f"ROBINOPT_JOBS={raw!r} is not a positive integer"
+        )
+    return jobs
+
+
 def _dump_sigma(mesh, sigma, path):
     pos = {int(b): i for i, b in enumerate(mesh.boundary_nodes)}
     lines = ["arc_length,sigma"]
@@ -129,6 +154,7 @@ def cmd_sweep(args):
     if args.domain.startswith("mesh:"):
         raise UsageError("sweep needs a catalogue domain for the "
                          "prediction columns")
+    jobs = args.jobs if args.jobs is not None else _env_jobs()
     domain = geometry.parse_domain(args.domain)
     pred = oracles.predict_lambda(domain)
     mus = list(np.linspace(args.mu_from, args.mu_to, args.mu_count))
@@ -147,8 +173,8 @@ def cmd_sweep(args):
         except ResolutionCapError as exc:
             return mu, exc
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(work, mus))
     else:
         results = [work(mu) for mu in mus]
@@ -293,38 +319,38 @@ def build_parser():
         p.add_argument("--domain", default="disk:1",
                        help="disk:R | annulus:R,r | rect:a,b | ngon:n,R | "
                             "lshape | mesh:PATH")
-        p.add_argument("--h", type=float, default=0.02,
+        p.add_argument("--h", type=_finite_float, default=0.02,
                        help="target interior mesh spacing")
         p.add_argument("--format", choices=("table", "json", "csv"),
                        default="table")
         p.add_argument("--output", default=None,
                        help="write to a file instead of standard output")
         if mu_default is not None:
-            p.add_argument("--mu", type=float, default=mu_default,
+            p.add_argument("--mu", type=_finite_float, default=mu_default,
                            help="boundary integral constraint value")
 
     p = sub.add_parser("optimize", help="single constrained optimization")
     common(p, mu_default=-10.0)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_finite_float, default=None)
     p.add_argument("--dump-sigma", default=None, metavar="PATH",
                    help="write the boundary profile as arc_length,sigma CSV")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("sweep", help="constraint sweep as CSV")
     common(p)
-    p.add_argument("--mu-from", type=float, required=True)
-    p.add_argument("--mu-to", type=float, required=True)
+    p.add_argument("--mu-from", type=_finite_float, required=True)
+    p.add_argument("--mu-to", type=_finite_float, required=True)
     p.add_argument("--mu-count", type=int, default=10)
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("ROBINOPT_JOBS", "1")))
+    p.add_argument("--jobs", type=int, default=None,
+                   help="worker threads (default: $ROBINOPT_JOBS, else 1)")
     p.add_argument("--timing", action="store_true",
                    help="fill the wall_seconds column (non-deterministic)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("heat-content", help="heat content curve as CSV")
     common(p)
-    p.add_argument("--t-from", type=float, default=None)
-    p.add_argument("--t-to", type=float, default=None)
+    p.add_argument("--t-from", type=_finite_float, default=None)
+    p.add_argument("--t-to", type=_finite_float, default=None)
     p.add_argument("--t-count", type=int, default=20)
     p.set_defaults(func=cmd_heat_content)
 
@@ -337,7 +363,7 @@ def build_parser():
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("corner-coeff", help="polygon corner coefficient")
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--alpha", type=_finite_float, default=None)
     p.add_argument("--grid", type=int, default=None,
                    help="emit a CSV over a grid of angles instead")
     p.add_argument("--output", default=None)
@@ -345,9 +371,9 @@ def build_parser():
 
     p = sub.add_parser("oracle", help="closed-form reference values")
     common(p)
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--mu", type=float, default=None)
+    p.add_argument("--s", type=_finite_float, default=None)
+    p.add_argument("--sigma", type=_finite_float, default=None)
+    p.add_argument("--mu", type=_finite_float, default=None)
     p.set_defaults(func=cmd_oracle)
 
     # let option values like -1e6 parse as numbers, not flags

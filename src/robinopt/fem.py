@@ -4,15 +4,19 @@ Assembles stiffness, mass, and lumped boundary-mass matrices; solves the
 Dirichlet resolvent problem (-Lap - s) u = 1; recovers boundary fluxes
 variationally; computes principal Robin eigenvalues by shift-and-invert
 power iteration with a Rayleigh-quotient polish; and time-steps the
-Dirichlet heat equation for the heat content.
+Dirichlet heat equation for the heat content by implicit Euler on a dyadic
+step ladder, one factorization per step size.
 
-All solves are deterministic. Assembled matrices, the ground Dirichlet
-energy, and heat curves are memoized on the mesh object; values are never
-mutated after construction, so sharing meshes across threads is safe.
+All solves are deterministic. Assembled matrices, their interior blocks,
+resolvent solutions, the ground Dirichlet energy, and heat curves are
+memoized on the mesh's ``Assembly``, which refers back to the mesh only
+weakly, so a dropped mesh is freed at once. Values are never mutated after
+construction, so sharing meshes across threads is safe.
 """
 
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +34,6 @@ from .errors import (
 TAG_RESOLVENT = "resolvent_u_s"
 TAG_MINIMIZER = "minimizer_u_mu"
 TAG_EIGENFUNCTION = "eigenfunction"
-TAG_HEAT = "heat_state"
 TAG_TORSION = "torsion"
 
 
@@ -100,11 +103,16 @@ class Assembly:
     ----------
     K : stiffness, symmetric positive semidefinite, kernel = constants
     M : consistent mass, symmetric positive definite
+    K_II, M_II : their interior blocks (CSC), the Dirichlet systems
     boundary_node_weights : lumped boundary measure per boundary node
+
+    The mesh is held through a weak reference: the mesh owns its assembly,
+    so a strong one back would keep a dropped mesh alive until a full
+    garbage-collection pass.
     """
 
     def __init__(self, mesh):
-        self.mesh = mesh
+        self._mesh = weakref.ref(mesh)
         self.K, self.M = _assemble_km(mesh)
         self.boundary_node_weights = mesh.boundary_node_weights()
         n = len(mesh.nodes)
@@ -112,8 +120,18 @@ class Assembly:
         mask[mesh.boundary_nodes] = False
         self.interior = np.where(mask)[0]
         self.boundary = mesh.boundary_nodes
+        idx = self.interior
+        self.K_II = self.K[idx][:, idx].tocsc()
+        self.M_II = self.M[idx][:, idx].tocsc()
         self.mass_times_one = np.asarray(self.M @ np.ones(n))
+        self.e1 = None
+        # shift -> nodal values; wrapped on return, so no mesh is stored
         self._resolvent_cache = {}
+        self._heat_cache = {}
+
+    @property
+    def mesh(self):
+        return self._mesh()
 
     def trace_mass(self, sigma):
         """Diagonal boundary-mass matrix for the parameter ``sigma``.
@@ -210,9 +228,10 @@ def solve_resolvent(mesh, s):
     """
     s = float(s)
     asm = assemble(mesh)
+    tag = TAG_TORSION if s == 0.0 else TAG_RESOLVENT
     cached = asm._resolvent_cache.get(s)
     if cached is not None:
-        return cached
+        return FieldSolution(mesh, cached, tag)
     if s > 0:
         e1 = estimate_dirichlet_e1(mesh)
         if s >= e1 * (1.0 - 1e-9):
@@ -228,8 +247,7 @@ def solve_resolvent(mesh, s):
             stacklevel=2,
         )
     idx = asm.interior
-    A = (asm.K - s * asm.M).tocsr()[idx][:, idx]
-    u_int = _solve_spd(A, asm.mass_times_one[idx])
+    u_int = _solve_spd(asm.K_II - s * asm.M_II, asm.mass_times_one[idx])
     if u_int.min() <= 0.0:
         raise SolverError(
             f"resolvent solution lost positivity (min {u_int.min():g}); "
@@ -237,11 +255,10 @@ def solve_resolvent(mesh, s):
         )
     u = np.zeros(len(mesh.nodes))
     u[idx] = u_int
-    sol = FieldSolution(mesh, u, TAG_TORSION if s == 0.0 else TAG_RESOLVENT)
     if len(asm._resolvent_cache) > 32:
         asm._resolvent_cache.clear()
-    asm._resolvent_cache[s] = sol
-    return sol
+    asm._resolvent_cache[s] = u
+    return FieldSolution(mesh, u, tag)
 
 
 def normal_flux(mesh, u, s):
@@ -264,27 +281,22 @@ def normal_flux(mesh, u, s):
 
 def estimate_dirichlet_e1(mesh, tol=1e-8, max_iter=400):
     """First Dirichlet eigenvalue by inverse power iteration (memoized)."""
-    cached = getattr(mesh, "_robinopt_e1", None)
-    if cached is not None:
-        return cached
     asm = assemble(mesh)
-    idx = asm.interior
-    K = asm.K.tocsr()[idx][:, idx].tocsc()
-    M = asm.M.tocsr()[idx][:, idx].tocsc()
+    if asm.e1 is not None:
+        return asm.e1
+    K, M = asm.K_II, asm.M_II
     lu = splu(K)
-    v = np.ones(len(idx))
+    v = np.ones(K.shape[0])
     v /= math.sqrt(v @ (M @ v))
-    rho_old = math.inf
-    for it in range(max_iter):
+    for _ in range(max_iter):
         v = lu.solve(M @ v)
         v /= math.sqrt(v @ (M @ v))
         Kv = K @ v
         rho = float(v @ Kv)
         resid = np.linalg.norm(Kv - rho * (M @ v))
         if resid <= tol * rho:
-            mesh._robinopt_e1 = rho
+            asm.e1 = rho
             return rho
-        rho_old = rho
     raise SolverError(
         f"Dirichlet ground-energy iteration stalled (last rho {rho:g})",
         residual=resid,
@@ -445,42 +457,50 @@ def _shift_invert_ground(A, M, tau, v, tol, power_steps):
 # ---------------------------------------------------------------------------
 
 def _heat_curve(mesh, horizon, steps_per_decade=400, t_small=None):
-    """Implicit-Euler heat-content curve on a quadratically graded grid.
+    """Implicit-Euler heat-content curve on a dyadic step ladder.
 
-    Grid t_k = T (k/m)^2 where m covers ``steps_per_decade`` steps per
-    decade between ``t_small`` and the horizon. Memoized per mesh.
+    With m = ``steps_per_decade`` steps per decade between ``t_small`` and
+    the horizon T, and dt0 = T / m^2, every step is dt0 * 2^j: the local
+    spacing 2 sqrt(t T) / m of the quadratic grid T (k/m)^2, rounded down
+    to a power-of-two multiple of dt0; the last step is cut to end at T.
+    Every time is a whole multiple of dt0, so the curve ends exactly at the
+    horizon. The rungs only grow, so there is one factorization per step
+    size, and only one is live at a time. Memoized per assembly.
     """
+    asm = assemble(mesh)
     key = (float(horizon), float(t_small or 0.0), steps_per_decade)
-    cache = getattr(mesh, "_robinopt_heat", None)
-    if cache is None:
-        cache = {}
-        mesh._robinopt_heat = cache
-    if key in cache:
-        return cache[key]
+    cached = asm._heat_cache.get(key)
+    if cached is not None:
+        return cached
     decades = 1
     if t_small and 0 < t_small < horizon:
         decades = max(1, math.ceil(math.log10(horizon / t_small)))
     m = steps_per_decade * decades
-    grid = horizon * (np.arange(m + 1) / m) ** 2
-    asm = assemble(mesh)
-    idx = asm.interior
-    K = asm.K.tocsr()[idx][:, idx].tocsc()
-    M = asm.M.tocsr()[idx][:, idx].tocsc()
-    m1 = asm.mass_times_one
-    v = None  # interior state; rhs of the first step projects the full 1
-    q = np.empty(m + 1)
-    q[0] = float(m1.sum())  # Q(0) = mesh area
-    rhs = m1[idx]
-    for k in range(1, m + 1):
-        dt = grid[k] - grid[k - 1]
-        lu = splu((M + dt * K).tocsc())
-        v = lu.solve(rhs if v is None else M @ v)
-        q[k] = float(m1[idx] @ v)
-        rhs = None
+    total = m * m  # the horizon in units of dt0
+    dt0 = horizon / total
+    K, M = asm.K_II, asm.M_II
+    m1 = asm.mass_times_one[asm.interior]
+    ticks = [0]  # times in units of dt0
+    q = [float(asm.mass_times_one.sum())]  # Q(0) = mesh area
+    v = m1  # rhs of the first step projects the full 1
+    lu = None
+    rung = 0
+    while ticks[-1] < total:
+        k = ticks[-1]
+        # largest 2^j <= 2 sqrt(k), from 4^j <= 4k in integers
+        step = min(1 << max(0, ((4 * k).bit_length() - 1) // 2), total - k)
+        if step != rung:
+            lu = None  # release the last rung's factors before the next
+            lu = splu(M + (step * dt0) * K)
+            rung = step
+        v = lu.solve(v if k == 0 else M @ v)
+        ticks.append(k + step)
+        q.append(float(m1 @ v))
     curve = HeatContentCurve(
-        grid, q, f"implicit-euler quadratic m={m}"
+        horizon * (np.array(ticks) / total), np.array(q),
+        f"implicit-euler dyadic m={m}",
     )
-    cache[key] = curve
+    asm._heat_cache[key] = curve
     return curve
 
 
@@ -488,15 +508,17 @@ def heat_content(mesh, times, steps_per_decade=400):
     """Heat content Q(t) at the requested times.
 
     Implicit-Euler stepping of M v' = -K v from unit initial temperature
-    with a cold boundary, on substeps quadratically graded toward t = 0.
-    Values at the requested times come from linear interpolation on the
-    substep grid, which is denser than any sensible request.
+    with a cold boundary, on a dyadic step ladder refined toward t = 0,
+    one factorization per step size. Values at the requested times come
+    from linear interpolation on the substep grid, which is denser than any
+    sensible request.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise GeometryError("times must be a non-empty 1D array")
-    if times.min() <= 0 or np.any(np.diff(times) <= 0):
-        raise GeometryError("times must be positive and increasing")
+    if (not np.all(np.isfinite(times)) or times.min() <= 0
+            or np.any(np.diff(times) <= 0)):
+        raise GeometryError("times must be finite, positive and increasing")
     diam = _mesh_diameter(mesh)
     if times.max() > diam**2 * (1.0 + 1e-12):
         raise GeometryError(

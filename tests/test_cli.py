@@ -211,3 +211,40 @@ def test_output_file_and_determinism(tmp_path, capsys):
 
 def test_usage_error_exit_code(capsys):
     assert main(["optimize", "--no-such-flag"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("optimize", "--mu", "nan"),
+    ("optimize", "--h", "nan"),
+    ("optimize", "--h", "inf"),
+    ("optimize", "--tol", "nan"),
+    ("sweep", "--mu-from", "-10", "--mu-to", "nan"),
+    ("sweep", "--mu-from", "inf", "--mu-to", "-5"),
+    ("heat-content", "--t-from", "nan"),
+    ("heat-content", "--t-to", "inf"),
+    ("verify", "--suite", "blowup", "--mu", "nan"),
+    ("corner-coeff", "--alpha", "nan"),
+    ("oracle", "--s", "inf"),
+    ("oracle", "--sigma", "nan"),
+    ("oracle", "--mu", "inf"),
+])
+def test_non_finite_option_is_clean_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "error:" in err and "not a finite number" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_malformed_robinopt_jobs(capsys, monkeypatch):
+    monkeypatch.setenv("ROBINOPT_JOBS", "x")
+    # only sweep reads the variable; other subcommands ignore it
+    code, out, _ = run(capsys, "oracle", "--domain", "disk:1")
+    assert code == 0 and "leading_coefficient" in out
+    code, out, err = run(capsys, "sweep", "--domain", "disk:1",
+                         "--mu-from", "-20", "--mu-to", "-5",
+                         "--mu-count", "2", "--h", "0.1")
+    assert code == 1
+    assert "error:" in err and "ROBINOPT_JOBS" in err
+    assert "Traceback" not in err
+    assert out == ""

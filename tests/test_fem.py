@@ -1,5 +1,7 @@
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from robinopt import (
     robin_principal_eigenvalue,
     solve_resolvent,
 )
+from robinopt import fem
 from robinopt.errors import BoundaryLayerWarning
 
 # frozen disk references (series/continued-fraction oracles)
@@ -206,6 +209,8 @@ def test_heat_content_validates_times(square_mesh_mid):
         heat_content(square_mesh_mid, [0.2, 0.1])
     with pytest.raises(GeometryError):
         heat_content(square_mesh_mid, [1e3])
+    with pytest.raises(GeometryError):
+        heat_content(square_mesh_mid, [0.01, math.nan])
 
 
 def test_laplace_transform_identity_smoke(square_mesh_mid):
@@ -229,3 +234,63 @@ def test_laplace_transform_limits(square_mesh_mid):
     area = square_mesh_mid.area()
     assert lhs * 400.0 / area == pytest.approx(1.0, abs=0.25)
     assert abs(lhs * 400.0 / area - 1.0) <= 1.5 * 4.0 / (area * 20.0)
+
+
+@pytest.mark.parametrize("horizon,steps,t_small", [
+    (0.1, 400, 0.01),
+    (4.0, 400, 4e-3),
+    (0.3, 50, None),
+])
+def test_heat_curve_dyadic_ladder(monkeypatch, horizon, steps, t_small):
+    lus = []
+    original = fem.splu
+
+    def counting_splu(A, *args, **kwargs):
+        lus.append(A.shape)
+        return original(A, *args, **kwargs)
+
+    monkeypatch.setattr(fem, "splu", counting_splu)
+    mesh = generate_mesh(Domain.disk(1.0), 0.1)
+    curve = fem._heat_curve(mesh, horizon, steps, t_small=t_small)
+    decades = math.ceil(math.log10(horizon / t_small)) if t_small else 1
+    m = steps * decades
+    assert 0 < len(lus) <= math.ceil(math.log2(2 * m)) + 2
+    assert curve.times[0] == 0.0
+    assert curve.times[-1] == horizon
+    assert curve.scheme == f"implicit-euler dyadic m={m}"
+    # every step but the last is a power-of-two multiple of dt0, growing
+    ticks = np.rint(np.diff(curve.times) / (horizon / m**2)).astype(int)
+    assert np.all(ticks[:-1] & (ticks[:-1] - 1) == 0)
+    assert np.all(np.diff(ticks[:-1]) >= 0)
+    assert len(lus) == len(set(ticks))  # one factorization per step size
+    # the curve is memoized: a second call factorizes nothing
+    assert fem._heat_curve(mesh, horizon, steps, t_small=t_small) is curve
+    assert len(lus) == len(set(ticks))
+
+
+def test_heat_content_matches_quadratic_grid():
+    # Q(t) of the former quadratically graded grid T (k/m)^2, m = 400, on
+    # this mesh and window
+    mesh = generate_mesh(Domain.disk(1.0), 0.048)
+    h = 0.048
+    times = np.geomspace(25 * h * h, 100 * h * h, 6)
+    quadratic = [1.6310721724977415, 1.4417194749749354, 1.2366921069212602,
+                 1.0188729901227602, 0.794464910115406, 0.5746700046993568]
+    curve = heat_content(mesh, times)
+    assert np.abs(curve.values - quadratic).max() <= 1e-3
+
+
+def test_dropped_mesh_is_freed_without_gc():
+    mesh = generate_mesh(Domain.disk(1.0), 0.1)
+    laplace_transform_check(mesh, -1.0)
+    u = solve_resolvent(mesh, -2.0)
+    assert solve_resolvent(mesh, -2.0).values is u.values  # cached
+    ref = weakref.ref(mesh)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del mesh, u
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
