@@ -12,8 +12,6 @@ quadrature provide independent verification channels.
 """
 
 from .errors import (
-    AccuracyError,
-    ConsistencyError,
     GeometryError,
     MeshResourceError,
     ResolutionCapError,
@@ -23,7 +21,7 @@ from .errors import (
     UsageError,
 )
 from .geometry import Domain, DomainMetrics, Mesh, generate_mesh, metrics, parse_domain
-from .specfun import Quadrature, bessel_i, bessel_k, bessel_ratio, corner_coefficient, integrate
+from .specfun import corner_coefficient
 from .fem import (
     Assembly,
     BoundaryFunction,

@@ -10,11 +10,9 @@ error, 2 consistency or suite failure, 3 partial completion.
 import argparse
 import json
 import math
-import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -66,20 +64,6 @@ def _finite_float(text):
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
     return value
-
-
-def _env_jobs():
-    """Worker count from ROBINOPT_JOBS (1 when unset)."""
-    raw = os.environ.get("ROBINOPT_JOBS", "1")
-    try:
-        jobs = int(raw)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise UsageError(
-            f"ROBINOPT_JOBS={raw!r} is not a positive integer"
-        )
-    return jobs
 
 
 def _dump_sigma(mesh, sigma, path):
@@ -154,7 +138,6 @@ def cmd_sweep(args):
     if args.domain.startswith("mesh:"):
         raise UsageError("sweep needs a catalogue domain for the "
                          "prediction columns")
-    jobs = args.jobs if args.jobs is not None else _env_jobs()
     domain = geometry.parse_domain(args.domain)
     pred = oracles.predict_lambda(domain)
     mus = list(np.linspace(args.mu_from, args.mu_to, args.mu_count))
@@ -165,32 +148,19 @@ def cmd_sweep(args):
         boundary_layer_width=verify._layer_for_mu(domain, min(mus), args.h),
     )
     skipped = []
-    rows = {}
-
-    def work(mu):
+    rows = []
+    for mu in mus:
         try:
-            return mu, _sweep_point(mesh, pred, mu, args.timing)
+            rows.append(_sweep_point(mesh, pred, mu, args.timing))
         except ResolutionCapError as exc:
-            return mu, exc
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, mus))
-    else:
-        results = [work(mu) for mu in mus]
-    for mu, out in results:
-        if isinstance(out, ResolutionCapError):
             skipped.append(mu)
-            print(f"warning: skipped mu={mu:g}: {out}", file=sys.stderr)
-        else:
-            rows[mu] = out
+            print(f"warning: skipped mu={mu:g}: {exc}", file=sys.stderr)
     if not rows:
         raise UsageError("no admissible grid point; refine the mesh or "
                          "shrink the grid")
     header = ("mu,s_mu,predicted_two_term,remainder,sigma_spread,"
               "independent_lambda,wall_seconds")
-    body = "\n".join(rows[mu] for mu in mus if mu in rows)
-    _emit(header + "\n" + body + "\n", args.output)
+    _emit(header + "\n" + "\n".join(rows) + "\n", args.output)
     return 3 if skipped else 0
 
 
@@ -341,8 +311,6 @@ def build_parser():
     p.add_argument("--mu-from", type=_finite_float, required=True)
     p.add_argument("--mu-to", type=_finite_float, required=True)
     p.add_argument("--mu-count", type=int, default=10)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker threads (default: $ROBINOPT_JOBS, else 1)")
     p.add_argument("--timing", action="store_true",
                    help="fill the wall_seconds column (non-deterministic)")
     p.set_defaults(func=cmd_sweep)

@@ -25,19 +25,6 @@ class SolverError(RobinoptError):
         self.residual = residual
 
 
-class AccuracyError(RobinoptError):
-    """Adaptive quadrature ran out of subdivisions.
-
-    Carries the best available estimate and its error bound so callers can
-    decide whether the partial answer is usable.
-    """
-
-    def __init__(self, message, estimate, error_bound):
-        super().__init__(message)
-        self.estimate = estimate
-        self.error_bound = error_bound
-
-
 class ResolutionCapError(RobinoptError):
     """Requested constraint value needs a finer boundary layer than the mesh has.
 
@@ -48,10 +35,6 @@ class ResolutionCapError(RobinoptError):
     def __init__(self, message, admissible_mu=None):
         super().__init__(message)
         self.admissible_mu = admissible_mu
-
-
-class ConsistencyError(RobinoptError):
-    """Two independently computed quantities disagree beyond tolerance."""
 
 
 class UsageError(RobinoptError):

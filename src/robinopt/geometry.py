@@ -347,13 +347,29 @@ class Mesh:
             tokens = fh.read().split()
         if len(tokens) < 3:
             raise GeometryError(f"mesh file {path} is truncated")
-        n, t, b = (int(v) for v in tokens[:3])
-        need = 3 + 2 * n + 3 * t + 2 * b
-        if len(tokens) < need:
+        try:
+            n, t, b = (int(v) for v in tokens[:3])
+        except ValueError:
+            raise GeometryError(f"mesh file {path} has a non-integer count")
+        if min(n, t, b) < 0:
+            raise GeometryError(f"mesh file {path} has a negative count")
+        if len(tokens) < 3 + 2 * n + 3 * t + 2 * b:
             raise GeometryError(f"mesh file {path} is truncated")
         vals = tokens[3:]
-        nodes = np.array(vals[: 2 * n], dtype=float).reshape(n, 2)
-        tris = np.array(vals[2 * n: 2 * n + 3 * t], dtype=np.int64).reshape(t, 3)
+        try:
+            nodes = np.array(vals[: 2 * n], dtype=float).reshape(n, 2)
+            tris = np.array(vals[2 * n: 2 * n + 3 * t],
+                            dtype=np.int64).reshape(t, 3)
+        except ValueError:
+            raise GeometryError(f"mesh file {path} has a non-numeric entry")
+        if not np.isfinite(nodes).all():
+            raise GeometryError(f"mesh file {path} has a non-finite "
+                                "coordinate")
+        if t == 0:
+            raise GeometryError(f"mesh file {path} has no triangles")
+        if tris.min() < 0 or tris.max() >= n:
+            raise GeometryError(f"mesh file {path} has a triangle index "
+                                f"outside [0, {n})")
         return cls(nodes, tris, _median_edge_length(nodes, tris))
 
 
@@ -816,10 +832,12 @@ def generate_mesh(domain, target_h, boundary_layer_width=0.0,
     MeshResourceError
         If the node cap or the 12-layer grading cap would be exceeded.
     """
-    if target_h <= 0:
-        raise GeometryError("target_h must be positive")
-    if boundary_layer_width < 0:
-        raise GeometryError("boundary_layer_width must be non-negative")
+    if not 0 < target_h < math.inf:
+        raise GeometryError("target_h must be positive and finite")
+    if not 0 <= boundary_layer_width < math.inf:
+        raise GeometryError(
+            "boundary_layer_width must be non-negative and finite"
+        )
     kind = domain.kind
     if kind == "disk":
         return _disk_mesh(domain.params[0], target_h, boundary_layer_width,
@@ -848,8 +866,6 @@ def parse_domain(spec):
     spec = spec.strip()
     if spec == "lshape":
         return Domain.lshape()
-    if spec == "square":
-        return Domain.rectangle(1.0, 1.0)
     if ":" not in spec:
         raise GeometryError(f"cannot parse domain spec {spec!r}")
     kind, _, rest = spec.partition(":")

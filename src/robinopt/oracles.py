@@ -11,6 +11,8 @@ constraint regime (torsion term).
 import math
 from dataclasses import dataclass
 
+from scipy.special import i0e, i1e, j0, j1
+
 from . import geometry, specfun
 from .errors import GeometryError, SolverError
 
@@ -38,6 +40,14 @@ class AsymptoticPrediction:
         return self.leading * mu * mu + self.subleading * mu
 
 
+def _i1_over_i0(x):
+    """I1(x)/I0(x) from the exponentially scaled functions: no overflow.
+
+    ``i0e``/``i1e`` rather than ``ive``, which turns NaN past x = 1e10.
+    """
+    return float(i1e(x) / i0e(x))
+
+
 def disk_F(radius, s):
     """Exact F(s) on a disk: -2 pi R kappa I1(kappa R)/I0(kappa R)."""
     if radius <= 0:
@@ -47,13 +57,15 @@ def disk_F(radius, s):
     if s == 0:
         return 0.0
     kappa = math.sqrt(-s)
-    return -2.0 * math.pi * radius * kappa * specfun.bessel_ratio(
-        0.0, kappa * radius
-    )
+    return -2.0 * math.pi * radius * kappa * _i1_over_i0(kappa * radius)
 
 
 def disk_s_of_mu(radius, mu, tol=1e-13):
-    """Invert the exact disk F: unique s <= 0 with F(s) = mu (mu <= 0)."""
+    """Invert the exact disk F: unique s <= 0 with F(s) = mu (mu <= 0).
+
+    The lower end of the bracket doubles until F falls below mu; Brent's
+    method then finds the root to ``tol * (1 + |s|)``.
+    """
     if mu > 0:
         raise GeometryError("disk_s_of_mu handles mu <= 0; use "
                             "disk_robin_lambda for the positive branch")
@@ -63,35 +75,15 @@ def disk_s_of_mu(radius, mu, tol=1e-13):
     lo = -4.0 * (mu / perim) ** 2 - 1.0
     while disk_F(radius, lo) > mu:
         lo *= 2.0
-    hi = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if disk_F(radius, mid) > mu:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= tol * (1.0 + abs(lo)):
-            return 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
+    from scipy.optimize import brentq
+
+    return brentq(lambda s: disk_F(radius, s) - mu, lo, 0.0,
+                  xtol=tol, rtol=tol)
 
 
-def _bessel_j(nu, x):
-    # alternating power series; fine for the small arguments needed here
-    half = 0.5 * x
-    if x == 0.0:
-        return 1.0 if nu == 0 else 0.0
-    term = math.exp(nu * math.log(half) - math.lgamma(nu + 1.0))
-    total = term
-    k = 1
-    while True:
-        term *= -(half * half) / (k * (k + nu))
-        total += term
-        if abs(term) < 1e-17 * (abs(total) + 1e-30) or k > 200:
-            return total
-        k += 1
-
-
-_J0_FIRST_ZERO = 2.404825557695773
+# a hair above the first zero of J0: J0 < 0 there for any radius, so the
+# positive-branch root function is positive there for every sigma
+_J0_FIRST_ZERO_ABOVE = 2.404825557695773 * (1.0 + 1e-15)
 
 
 def disk_robin_lambda(radius, sigma, tol=1e-12):
@@ -99,70 +91,33 @@ def disk_robin_lambda(radius, sigma, tol=1e-12):
 
     Negative parameters give lambda = -k^2 with k I1(kR)/I0(kR) = -sigma;
     positive parameters give lambda = k^2 with k J1(kR) = sigma J0(kR),
-    taking the first positive root. Both roots come from safeguarded
-    Newton iterations on analytic derivatives.
+    taking the first positive root. Both roots are bracketed from k = 0 and
+    found by Brent's method to relative accuracy ``tol`` in k.
     """
     if radius <= 0:
         raise GeometryError("radius must be positive")
     if sigma == 0.0:
         return 0.0
+    from scipy.optimize import brentq
+
     if sigma < 0:
-        target = -sigma
+        def root_fn(k):
+            return k * _i1_over_i0(k * radius) + sigma
 
-        def g(k):
-            return k * specfun.bessel_ratio(0.0, k * radius) - target
+        hi = -sigma + 2.0 / radius + 1.0
+    else:
+        def root_fn(k):
+            return k * j1(k * radius) - sigma * j0(k * radius)
 
-        def gp(k):
-            r = specfun.bessel_ratio(0.0, k * radius)
-            rp = 1.0 - r * r - r / (k * radius)
-            return r + k * radius * rp
-
-        lo = 1e-12
-        hi = target + 2.0 / radius + 1.0
-        k = min(target + 0.5 / radius, hi - 1e-9)
-        for _ in range(200):
-            val = g(k)
-            if abs(val) <= tol * (1.0 + target):
-                return -k * k
-            if val > 0:
-                hi = k
-            else:
-                lo = k
-            k_new = k - val / gp(k)
-            if not (lo < k_new < hi):
-                k_new = 0.5 * (lo + hi)
-            k = k_new
+        hi = _J0_FIRST_ZERO_ABOVE / radius
+    try:
+        # brentq needs a positive xtol; one this small leaves the stop to rtol
+        k = brentq(root_fn, 0.0, hi, xtol=1e-300, rtol=tol, maxiter=200)
+    except RuntimeError as exc:
         raise SolverError(
-            f"disk Robin root-find stalled for sigma={sigma:g} "
-            f"(bracket [{lo:g}, {hi:g}])"
-        )
-
-    def psi(k):
-        return k * _bessel_j(1, k * radius) - sigma * _bessel_j(0, k * radius)
-
-    def psip(k):
-        return (k * radius * _bessel_j(0, k * radius)
-                + sigma * radius * _bessel_j(1, k * radius))
-
-    lo = 1e-12
-    hi = _J0_FIRST_ZERO / radius * (1.0 - 1e-12)
-    k = min(math.sqrt(2.0 * sigma / radius), 0.9 * hi)
-    for _ in range(200):
-        val = psi(k)
-        if abs(val) <= tol * (1.0 + sigma):
-            return k * k
-        if val > 0:
-            hi = k
-        else:
-            lo = k
-        k_new = k - val / psip(k)
-        if not (lo < k_new < hi):
-            k_new = 0.5 * (lo + hi)
-        k = k_new
-    raise SolverError(
-        f"disk Robin root-find stalled for sigma={sigma:g} "
-        f"(bracket [{lo:g}, {hi:g}])"
-    )
+            f"disk Robin root-find stalled for sigma={sigma:g}"
+        ) from exc
+    return -k * k if sigma < 0 else k * k
 
 
 def disk_lambda_mu(radius, mu):
@@ -173,6 +128,11 @@ def disk_lambda_mu(radius, mu):
     principal eigenvalue at that value.
     """
     return disk_robin_lambda(radius, mu / (2.0 * math.pi * radius))
+
+
+def corner_sum(angles):
+    """Sum of the corner coefficients c(alpha) over interior angles."""
+    return sum(specfun.corner_coefficient(a) for a in angles)
 
 
 def predict_lambda(domain):
@@ -192,12 +152,9 @@ def predict_lambda(domain):
             remainder_order="O(1)",
         )
     if domain.kind in ("rectangle", "ngon", "lshape", "polygon"):
-        corner_sum = sum(
-            specfun.corner_coefficient(a) for a in m.corner_angles
-        )
         return AsymptoticPrediction(
             leading=-1.0 / p2,
-            subleading=2.0 * corner_sum / p2,
+            subleading=2.0 * corner_sum(m.corner_angles) / p2,
             regime=REGIME_POLYGON,
             remainder_order="O(1)",
         )

@@ -1,237 +1,18 @@
-"""Special functions and adaptive quadrature.
+"""The corner coefficient c(alpha) of the polygon heat content.
 
-Modified Bessel functions of the first kind, overflow-free Bessel ratios,
-an adaptive Gauss-Kronrod integrator that also handles semi-infinite
-intervals, and the corner coefficient c(alpha) that controls the linear
-heat-content term of polygons.
+c(alpha) controls the linear term of the small-time heat content of a
+polygon (van den Berg & Srisatkunarajah, PTRF 86, 1990). It is computed by
+``scipy.integrate.quad`` of an integrand that cannot overflow.
 
 All functions here are stateless and safe for concurrent use.
 """
 
 import math
-from dataclasses import dataclass
 
-from .errors import AccuracyError, GeometryError
-
-# 7-point Gauss / 15-point Kronrod nodes and weights on [-1, 1].
-_GK15 = (
-    # node,              Gauss weight,      Kronrod weight
-    (+0.949107912342759, 0.129484966168870, 0.063092092629979),
-    (-0.949107912342759, 0.129484966168870, 0.063092092629979),
-    (+0.741531185599394, 0.279705391489277, 0.140653259715525),
-    (-0.741531185599394, 0.279705391489277, 0.140653259715525),
-    (+0.405845151377397, 0.381830050505119, 0.190350578064785),
-    (-0.405845151377397, 0.381830050505119, 0.190350578064785),
-    (0.000000000000000, 0.417959183673469, 0.209482141084728),
-    (+0.991455371120813, 0.0, 0.022935322010529),
-    (-0.991455371120813, 0.0, 0.022935322010529),
-    (+0.864864423359769, 0.0, 0.104790010322250),
-    (-0.864864423359769, 0.0, 0.104790010322250),
-    (+0.586087235467691, 0.0, 0.169004726639267),
-    (-0.586087235467691, 0.0, 0.169004726639267),
-    (+0.207784955007898, 0.0, 0.204432940075298),
-    (-0.207784955007898, 0.0, 0.204432940075298),
-)
-
-# e^x overflows just above this; the scaled asymptotic series cannot return
-# an unscaled value beyond it.
-_I_OVERFLOW_X = 705.0
+from .errors import GeometryError
 
 
-@dataclass(frozen=True)
-class Quadrature:
-    """Tolerance budget for the adaptive integrator."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise GeometryError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise GeometryError("max_subdivisions must be at least 1")
-
-
-def bessel_i(nu, x):
-    """Modified Bessel function I_nu(x) for nu >= 0, x >= 0.
-
-    Power series for x <= 30 (all terms positive, no cancellation), scaled
-    asymptotic series beyond. Relative error stays below 1e-12 for x <= 30.
-    Raises OverflowError for arguments where the result exceeds float range;
-    use :func:`bessel_ratio` instead in that regime.
-    """
-    if x < 0:
-        raise GeometryError("bessel_i requires x >= 0")
-    if nu < 0:
-        raise GeometryError("bessel_i requires nu >= 0")
-    if x == 0.0:
-        return 1.0 if nu == 0 else 0.0
-    if x <= 30.0:
-        return _bessel_i_series(nu, x)
-    if x > _I_OVERFLOW_X:
-        raise OverflowError(
-            f"I_{nu}({x}) overflows double precision; use bessel_ratio for "
-            "large arguments"
-        )
-    return _bessel_i_asymptotic(nu, x)
-
-
-def _bessel_i_series(nu, x):
-    # sum_k (x/2)^(2k+nu) / (k! Gamma(k+nu+1)); terms via stable recurrence
-    half = 0.5 * x
-    term = math.exp(nu * math.log(half) - math.lgamma(nu + 1.0))
-    total = term
-    k = 1
-    while True:
-        term *= half * half / (k * (k + nu))
-        total += term
-        if term < total * 1e-17:
-            return total
-        k += 1
-        if k > 1000:  # unreachable for x <= 30
-            return total
-
-
-def _bessel_i_asymptotic(nu, x):
-    # I_nu(x) ~ e^x / sqrt(2 pi x) * sum_k (-1)^k a_k(nu) / x^k
-    mu4 = 4.0 * nu * nu
-    term = 1.0
-    total = 1.0
-    for k in range(1, 30):
-        term *= -(mu4 - (2 * k - 1) ** 2) / (8.0 * k * x)
-        if abs(term) > abs(total):
-            break
-        total += term
-        if abs(term) < 1e-17 * abs(total):
-            break
-    return math.exp(x) / math.sqrt(2.0 * math.pi * x) * total
-
-
-def bessel_k(nu, x):
-    """Modified Bessel function K_nu(x) for x > 0.
-
-    Evaluated from the integral representation
-    K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt with the adaptive
-    integrator, which is accurate to ~1e-12 relative over x in [0.05, 30].
-    Intended as an independent oracle, not a hot path.
-    """
-    if x <= 0:
-        raise GeometryError("bessel_k requires x > 0")
-    quad = Quadrature(abs_tol=1e-15, rel_tol=5e-14, max_subdivisions=4000)
-
-    def integrand(t):
-        if t > 700.0:
-            return 0.0
-        w = x * math.cosh(t)
-        if w > 700.0:
-            return 0.0
-        return math.exp(-w) * math.cosh(nu * t)
-
-    return integrate(integrand, 0.0, math.inf, quad)
-
-
-def bessel_ratio(nu, x):
-    """Ratio I_{nu+1}(x) / I_nu(x), overflow-free for any x > 0.
-
-    Evaluated with the Gauss continued fraction by the modified Lentz
-    algorithm. The result lies in (0, 1) and increases with x.
-    """
-    if x <= 0:
-        raise GeometryError("bessel_ratio requires x > 0")
-    # CF: I_{nu+1}/I_nu = 1/(b1 + 1/(b2 + ...)), b_k = 2(nu+k)/x
-    tiny = 1e-300
-    f = tiny
-    c = f
-    d = 0.0
-    k = 1
-    while True:
-        b = 2.0 * (nu + k) / x
-        d = b + d
-        if d == 0.0:
-            d = tiny
-        c = b + 1.0 / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16 or k > 100000:
-            return f
-        k += 1
-
-
-def _gk15_panel(f, a, b):
-    """One 15-point Kronrod panel on [a, b]; returns (integral, error est)."""
-    mid = 0.5 * (a + b)
-    hw = 0.5 * (b - a)
-    ig = 0.0
-    ik = 0.0
-    for xi, wg, wk in _GK15:
-        fx = f(mid + hw * xi)
-        ig += wg * fx
-        ik += wk * fx
-    err = (200.0 * abs(ig - ik)) ** 1.5 * hw
-    return ik * hw, err
-
-
-def integrate(f, a, b, quad=None):
-    """Adaptive integral of ``f`` over (a, b); ``b`` may be ``math.inf``.
-
-    Bisects the panel with the largest error estimate until the summed
-    estimate meets ``quad.abs_tol + quad.rel_tol * |result|``. A semi-infinite
-    interval is mapped through t = x/(1+x), with initial panels doubling
-    toward t = 1 where the image of the tail accumulates.
-
-    Raises
-    ------
-    AccuracyError
-        If ``quad.max_subdivisions`` panels do not reach the tolerance. The
-        exception carries the best estimate and its error bound.
-    """
-    if quad is None:
-        quad = Quadrature()
-    if math.isinf(b):
-        g = f
-        shift = a
-
-        def f_mapped(t):
-            onemt = 1.0 - t
-            return g(shift + t / onemt) / (onemt * onemt)
-
-        f = f_mapped
-        a, b = 0.0, 1.0
-        seeds = [0.0, 0.5, 0.75, 0.875, 0.9375, 0.96875, 1.0]
-    else:
-        if not b > a:
-            raise GeometryError("integrate requires b > a")
-        seeds = [a, b]
-
-    panels = []
-    for left, right in zip(seeds[:-1], seeds[1:]):
-        val, err = _gk15_panel(f, left, right)
-        panels.append((left, right, val, err))
-
-    while True:
-        total = sum(p[2] for p in panels)
-        err_total = sum(p[3] for p in panels)
-        if err_total <= quad.abs_tol + quad.rel_tol * abs(total):
-            return total
-        if len(panels) >= quad.max_subdivisions:
-            raise AccuracyError(
-                f"quadrature did not converge within {quad.max_subdivisions} "
-                f"subdivisions (estimate {total!r}, error bound {err_total!r})",
-                estimate=total,
-                error_bound=err_total,
-            )
-        worst = max(range(len(panels)), key=lambda i: panels[i][3])
-        left, right = panels[worst][0], panels[worst][1]
-        mid = 0.5 * (left + right)
-        panels[worst] = (left, mid, *_gk15_panel(f, left, mid))
-        panels.append((mid, right, *_gk15_panel(f, mid, right)))
-
-
-def corner_coefficient(alpha, quad=None):
+def corner_coefficient(alpha):
     """Corner coefficient c(alpha) for an interior angle alpha in (0, 2 pi).
 
     c(alpha) = int_0^inf 4 sinh((pi-alpha)x) / (sinh(pi x) cosh(alpha x)) dx,
@@ -243,8 +24,9 @@ def corner_coefficient(alpha, quad=None):
         raise GeometryError("corner_coefficient requires alpha in (0, 2*pi)")
     if abs(alpha - math.pi) < 1e-14:
         return 0.0
-    if quad is None:
-        quad = Quadrature(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=4000)
+    # scipy.integrate costs a quarter second to import; most runs never
+    # reach a polygon corner
+    from scipy.integrate import quad
 
     two_pi = 2.0 * math.pi
 
@@ -256,4 +38,6 @@ def corner_coefficient(alpha, quad=None):
         # 8 (e^{-2 a x} - e^{-2 pi x}) / ((1 - e^{-2 pi x})(1 + e^{-2 a x}))
         return 8.0 * (ea - ep) / ((-ep) * (2.0 + ea))
 
-    return integrate(integrand, 0.0, math.inf, quad)
+    value, _ = quad(integrand, 0.0, math.inf, epsabs=1e-13, epsrel=1e-12,
+                    limit=200)
+    return value

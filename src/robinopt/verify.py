@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fem, geometry, optimizer, oracles, specfun
+from . import fem, geometry, optimizer, oracles
 from .errors import GeometryError, ResolutionCapError
 
 
@@ -119,7 +119,7 @@ def _layer_for_mu(domain, mu, h=0.02):
     if domain.kind in ("disk", "annulus"):
         curv = m.curvature_integral / 2.0
     else:
-        curv = sum(specfun.corner_coefficient(a) for a in m.corner_angles)
+        curv = oracles.corner_sum(m.corner_angles)
     s_est = ((abs(mu) + max(0.0, curv)) / m.perimeter) ** 2 + 1.0
     layer = 0.75 / math.sqrt(s_est)
     return max(layer, 4.0 * h * 2.0**-12 * (1.0 + 1e-9))
@@ -298,7 +298,7 @@ def _check_grid_admissible(domain, mu_grid, h):
     mesh = mesh_for(domain, min(mu_grid), h)
     cap = (0.2 / mesh.h_boundary) ** 2
     m = geometry.metrics(domain)
-    curv = sum(specfun.corner_coefficient(a) for a in m.corner_angles)
+    curv = oracles.corner_sum(m.corner_angles)
     bad = [mu for mu in mu_grid
            if ((abs(mu) + max(0.0, curv)) / m.perimeter) ** 2 > cap]
     if bad:
@@ -343,8 +343,7 @@ def run_heat_content_suite(domain, h=0.02, laplace_shifts=(-0.5, -1.0, -2.0)):
                    else 0.5 * max(1.0, (h / 0.02) ** 3))
         lin_label = "linear coefficient vs signed curvature integral / 2"
     else:
-        lin_exact = sum(specfun.corner_coefficient(a)
-                        for a in m.corner_angles)
+        lin_exact = oracles.corner_sum(m.corner_angles)
         lin_tol = 0.05 * abs(lin_exact) if lin_exact else 0.5
         lin_label = "linear coefficient vs corner coefficient sum"
     zeroth = float(np.mean(

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import robinopt
 from robinopt import Domain, generate_mesh
 from robinopt.cli import main
 
@@ -78,17 +82,6 @@ def test_sweep_csv(capsys):
     assert max(remainders) < 4.0
     # wall-clock column stays empty by default
     assert all(l.endswith(",") for l in lines[1:])
-
-
-def test_sweep_jobs_order_matches_serial(capsys):
-    code, out1, _ = run(capsys, "sweep", "--domain", "disk:1",
-                        "--mu-from", "-20", "--mu-to", "-5",
-                        "--mu-count", "4", "--h", "0.07")
-    code2, out2, _ = run(capsys, "sweep", "--domain", "disk:1",
-                         "--mu-from", "-20", "--mu-to", "-5",
-                         "--mu-count", "4", "--h", "0.07", "--jobs", "3")
-    assert code == code2 == 0
-    assert out1 == out2
 
 
 def test_sweep_partial_grid_exit_3(capsys):
@@ -236,15 +229,37 @@ def test_non_finite_option_is_clean_error(capsys, argv):
     assert out == ""
 
 
-def test_malformed_robinopt_jobs(capsys, monkeypatch):
-    monkeypatch.setenv("ROBINOPT_JOBS", "x")
-    # only sweep reads the variable; other subcommands ignore it
-    code, out, _ = run(capsys, "oracle", "--domain", "disk:1")
-    assert code == 0 and "leading_coefficient" in out
-    code, out, err = run(capsys, "sweep", "--domain", "disk:1",
-                         "--mu-from", "-20", "--mu-to", "-5",
-                         "--mu-count", "2", "--h", "0.1")
+# unit square split into four triangles around its centre node
+_SQUARE_MESH = ("5 4 4\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n"
+                "0 1 4\n1 2 4\n2 3 4\n3 0 4\n0 1\n1 2\n2 3\n3 0\n")
+
+
+@pytest.mark.parametrize("good,bad", [
+    ("5 4 4", "5.5 4 4"),
+    ("3 0 4\n", "3 0 5\n"),
+    ("3 0 4\n", "3 -5 4\n"),
+    ("0.5 0.5", "0.5 nan"),
+], ids=["non-integer header", "index >= N", "negative index",
+        "NaN coordinate"])
+def test_malformed_mesh_file_is_clean_error(tmp_path, capsys, good, bad):
+    assert good in _SQUARE_MESH
+    path = tmp_path / "bad.mesh"
+    path.write_text(_SQUARE_MESH.replace(good, bad, 1))
+    code, out, err = run(capsys, "optimize", "--domain", f"mesh:{path}",
+                         "--mu", "-0.1")
     assert code == 1
-    assert "error:" in err and "ROBINOPT_JOBS" in err
-    assert "Traceback" not in err
-    assert out == ""
+    assert "error: mesh file" in err
+    assert "Traceback" not in out + err
+
+
+def test_cli_import_leaves_integrate_and_optimize_unloaded():
+    # scipy.integrate and scipy.optimize are imported lazily, inside the
+    # corner coefficient and the disk root-finds
+    code = ("import sys, robinopt.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules))")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(robinopt.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -74,6 +74,11 @@ def test_domain_validation():
     # self-intersecting bowtie
     with pytest.raises(GeometryError):
         Domain.polygon([(0, 0), (1, 1), (1, 0), (0, 1)])
+    for bad in (math.inf, math.nan):
+        with pytest.raises(GeometryError):
+            generate_mesh(Domain.disk(1.0), bad)
+        with pytest.raises(GeometryError):
+            generate_mesh(Domain.disk(1.0), 0.1, boundary_layer_width=bad)
 
 
 def test_polygon_orientation_normalized():
@@ -190,5 +195,6 @@ def test_parse_domain():
     assert parse_domain("lshape").kind == "lshape"
     with pytest.raises(GeometryError):
         parse_domain("torus:1")
-    with pytest.raises(GeometryError):
-        parse_domain("disk:abc")
+    for spec in ("disk:abc", "square"):
+        with pytest.raises(GeometryError):
+            parse_domain(spec)

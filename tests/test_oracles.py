@@ -2,19 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import i0
 
 from robinopt import (
     Domain,
     GeometryError,
-    Quadrature,
-    bessel_i,
     constant_sigma_bound_check,
     corner_coefficient,
     disk_F,
     disk_lambda_mu,
     disk_robin_lambda,
     disk_s_of_mu,
-    integrate,
     predict_lambda,
     small_mu_prediction,
 )
@@ -23,13 +22,12 @@ from robinopt import (
 def disk_F_by_quadrature(s):
     """Independent oracle: radial quadrature of the resolvent integral."""
     kappa = math.sqrt(-s)
-    i0k = bessel_i(0, kappa)
+    i0k = i0(kappa)
 
     def integrand(r):
-        return (1.0 - bessel_i(0, kappa * r) / i0k) / kappa**2 * 2 * math.pi * r
+        return (1.0 - i0(kappa * r) / i0k) / kappa**2 * 2 * math.pi * r
 
-    integral = integrate(integrand, 0.0, 1.0,
-                         Quadrature(1e-13, 1e-13, 2000))
+    integral, _ = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
     return s * s * integral + s * math.pi
 
 
@@ -96,6 +94,17 @@ def test_disk_robin_lambda_positive_branch():
     assert disk_robin_lambda(1.0, 1e7) == pytest.approx(
         5.783185962946785, rel=1e-5
     )
+
+
+def test_disk_robin_lambda_small_sigma_expansion():
+    # lambda = 2 sigma / R - sigma^2 / 2 + O(sigma^3) on the unit disk, for
+    # both signs of sigma
+    for sigma in np.geomspace(1e-8, 1e-5, 13):
+        for sgn in (-1.0, 1.0):
+            s = sgn * sigma
+            assert disk_robin_lambda(1.0, s) == pytest.approx(
+                2 * s - s * s / 2, rel=1e-10
+            )
 
 
 def test_disk_lambda_mu_continuous_through_zero():
