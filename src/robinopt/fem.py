@@ -2,10 +2,10 @@
 
 Assembles stiffness, mass, and lumped boundary-mass matrices; solves the
 Dirichlet resolvent problem (-Lap - s) u = 1; recovers boundary fluxes
-variationally; computes principal Robin eigenvalues by shift-and-invert
-power iteration with a Rayleigh-quotient polish; and time-steps the
-Dirichlet heat equation for the heat content by implicit Euler on a dyadic
-step ladder, one factorization per step size.
+variationally; computes principal Robin eigenvalues by inverse iteration
+at one shift, one factorization per solve, with a Lanczos shift-invert
+fallback; and time-steps the Dirichlet heat equation for the heat content
+by implicit Euler on a dyadic step ladder, one factorization per step size.
 
 All solves are deterministic. Assembled matrices, their interior blocks,
 resolvent solutions, the ground Dirichlet energy, and heat curves are
@@ -310,12 +310,16 @@ def _rayleigh(A, M, v):
 def robin_principal_eigenvalue(mesh, sigma, tol=1e-8, v0=None):
     """Principal eigenvalue of the Robin problem with parameter ``sigma``.
 
-    Solves (K + B(sigma)) u = lambda M u for its smallest eigenvalue via
-    shift-and-invert power iteration followed by Rayleigh-quotient steps.
-    The initial shift sits below the spectrum by the square of the largest
-    negative parameter value; if the converged mode is not sign-definite
-    (meaning a higher mode was caught), the shift is lowered and the solve
-    retried, with a hard error after 5 retries.
+    Solves (K + B(sigma)) u = lambda M u for its smallest eigenvalue by
+    inverse iteration with one factorization at a fixed shift. Without
+    ``v0`` the shift sits below the spectrum by the square of the largest
+    negative parameter value and the iteration starts from the constants.
+    A warm start ``v0`` is both the starting vector and the source of the
+    shift, which sits just below its Rayleigh quotient. If that iteration
+    stalls or converges to a mode that is not sign-definite (a higher mode
+    was caught), a Lanczos shift-and-invert solve takes over, lowering its
+    shift until no lower eigenvalue appears, with a hard error after 5
+    retries.
 
     The returned eigenfunction is positive and M-normalized; the residual
     norm ||(K + B - lambda M) u|| is at most ``tol``.
@@ -325,7 +329,6 @@ def robin_principal_eigenvalue(mesh, sigma, tol=1e-8, v0=None):
     M = asm.M
     sigma_neg_max = max(0.0, float(-sigma.values.min()))
     tau = -1.5 * sigma_neg_max**2 - 1.0
-    n = len(mesh.nodes)
     total_iters = 0
 
     def _finish(lam, v, resid, iters):
@@ -335,14 +338,16 @@ def robin_principal_eigenvalue(mesh, sigma, tol=1e-8, v0=None):
             lam, FieldSolution(mesh, v, TAG_EIGENFUNCTION), resid, iters
         )
 
-    # fast path: power iteration at the a-priori shift plus Rayleigh polish;
+    # fast path: inverse iteration at the a-priori or warm-start shift;
     # accept only a sign-definite mode, which certifies the ground state
-    v = v0.copy() if v0 is not None else np.ones(n)
-    v /= math.sqrt(v @ (M @ v))
+    if v0 is None:
+        v, shift = np.ones(len(mesh.nodes)), tau
+    else:
+        v = np.array(v0, dtype=float)
+        rho = _rayleigh(A, M, v)
+        shift = rho - 0.05 * (1.0 + abs(rho))
     try:
-        lam, v, resid, iters = _shift_invert_ground(
-            A, M, tau, v, tol, power_steps=12
-        )
+        lam, v, resid, iters = _inverse_iteration(A, M, shift, v, tol)
         total_iters += iters
         if v @ asm.mass_times_one < 0:
             v = -v
@@ -390,16 +395,6 @@ def _lanczos_ground(A, M, tau, tol):
     rho = _rayleigh(A, M, v)
     resid = float(np.linalg.norm(A @ v - rho * (M @ v)))
     if resid > tol:
-        # one Rayleigh polish pass
-        try:
-            lu = splu((A - rho * M).tocsc())
-            w = lu.solve(M @ v)
-            v = w / math.sqrt(abs(w @ (M @ w)))
-            rho = _rayleigh(A, M, v)
-            resid = float(np.linalg.norm(A @ v - rho * (M @ v)))
-        except RuntimeError:
-            pass
-    if resid > tol:
         raise SolverError(
             f"Lanczos ground pair residual {resid:g} above {tol:g}",
             residual=resid,
@@ -407,48 +402,33 @@ def _lanczos_ground(A, M, tau, tol):
     return rho, v, resid, 1
 
 
-def _shift_invert_ground(A, M, tau, v, tol, power_steps):
+def _inverse_iteration(A, M, shift, v, tol):
+    """Inverse iteration v <- (A - shift M)^-1 M v, M-normalized.
+
+    One factorization serves every step. Stops once the Rayleigh-quotient
+    residual ||A v - rho M v|| is at most ``tol`` and returns
+    (rho, v, residual, steps); raises ``SolverError`` after 200 steps.
+    """
     try:
-        lu = splu((A - tau * M).tocsc())
+        lu = splu((A - shift * M).tocsc())
     except RuntimeError as exc:
-        raise SolverError(f"factorization failed at shift {tau:g}: {exc}")
-    rho_prev = math.inf
-    iters = 0
-    for _ in range(power_steps):
-        v = lu.solve(M @ v)
-        v /= math.sqrt(v @ (M @ v))
-        iters += 1
-        rho = _rayleigh(A, M, v)
-        if abs(rho - rho_prev) <= 1e-3 * (1.0 + abs(rho)):
-            break
-        rho_prev = rho
-    # Rayleigh-quotient polish: refactor at the current estimate
-    for _ in range(12):
-        rho = _rayleigh(A, M, v)
-        resid = float(np.linalg.norm(A @ v - rho * (M @ v)))
-        if resid <= tol:
-            return rho, v, resid, iters
-        shift = rho
-        for nudge in range(4):
-            try:
-                lu = splu((A - shift * M).tocsc())
-                break
-            except RuntimeError:
-                shift += 1e-12 * (1.0 + abs(rho)) * 10.0**nudge
-        else:
-            raise SolverError(f"singular factorization near {rho:g}")
-        w = lu.solve(M @ v)
-        norm = math.sqrt(abs(w @ (M @ w)))
+        raise SolverError(f"factorization failed at shift {shift:g}: {exc}")
+    Mv = M @ v
+    for it in range(1, 201):
+        v = lu.solve(Mv)
+        Mv = M @ v
+        norm = math.sqrt(v @ Mv)
         if not math.isfinite(norm) or norm == 0.0:
-            raise SolverError("Rayleigh iteration produced a bad vector")
-        v = w / norm
-        iters += 1
-    rho = _rayleigh(A, M, v)
-    resid = float(np.linalg.norm(A @ v - rho * (M @ v)))
-    if resid <= tol:
-        return rho, v, resid, iters
+            raise SolverError("inverse iteration produced a bad vector")
+        v /= norm
+        Mv /= norm
+        Av = A @ v
+        rho = float(v @ Av)
+        resid = float(np.linalg.norm(Av - rho * Mv))
+        if resid <= tol:
+            return rho, v, resid, it
     raise SolverError(
-        f"eigen iteration stalled at residual {resid:g}", residual=resid
+        f"inverse iteration stalled at residual {resid:g}", residual=resid
     )
 
 

@@ -370,7 +370,10 @@ class Mesh:
         if tris.min() < 0 or tris.max() >= n:
             raise GeometryError(f"mesh file {path} has a triangle index "
                                 f"outside [0, {n})")
-        return cls(nodes, tris, _median_edge_length(nodes, tris))
+        mesh = cls(nodes, tris, _median_edge_length(nodes, tris))
+        if len(mesh.boundary_nodes) == n:
+            raise GeometryError(f"mesh file {path} has no interior node")
+        return mesh
 
 
 def _median_edge_length(nodes, tris):

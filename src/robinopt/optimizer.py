@@ -18,6 +18,9 @@ from .errors import ResolutionCapError, SolverError, SpectralRangeError
 
 # largest sqrt(|s|) * h_boundary the boundary layer tolerates
 _LAYER_RESOLUTION = 0.2
+# closest relative approach of a mu > 0 bracket to the Dirichlet ground
+# energy; the resolvent system is nearly singular there
+_E1_MARGIN = 1e-6
 
 
 def default_tol(mu):
@@ -79,8 +82,9 @@ def solve_s_of_mu(mesh, mu, tol=None):
 
     For mu < 0 the initial bracket is [-4 (mu/P)^2 - 1, 0] from the leading
     asymptotic term of F, expanded leftward by doubling; for mu > 0 the
-    bracket is (0, E1 - margin). Newton steps use F' and fall back to
-    bisection whenever they leave the bracket.
+    upper end E1 (1 - 2^-k), k = 1, 2, ..., approaches the Dirichlet ground
+    energy E1 until F reaches mu, stopping at E1 (1 - 1e-6). Newton steps
+    use F' and fall back to bisection whenever they leave the bracket.
 
     Returns (s, iterations).
 
@@ -122,15 +126,21 @@ def solve_s_of_mu(mesh, mu, tol=None):
         hi, f_hi = 0.0, 0.0
     else:
         e1 = fem.estimate_dirichlet_e1(mesh)
-        hi = e1 * (1.0 - 1e-6)
-        f_hi = eval_F(mesh, hi)
-        iters += 1
-        if f_hi < mu:
-            raise SpectralRangeError(
-                f"mu={mu:g} needs a shift within {e1 - hi:.3g} of the "
-                f"Dirichlet ground energy {e1:.6g}; request a smaller mu"
-            )
         lo, f_lo = 0.0, 0.0
+        gap = 1.0
+        while True:
+            gap = max(0.5 * gap, _E1_MARGIN)
+            hi = e1 * (1.0 - gap)
+            f_hi = eval_F(mesh, hi)
+            iters += 1
+            if f_hi >= mu:
+                break
+            if gap == _E1_MARGIN:
+                raise SpectralRangeError(
+                    f"mu={mu:g} needs a shift within {e1 - hi:.3g} of the "
+                    f"Dirichlet ground energy {e1:.6g}; request a smaller mu"
+                )
+            lo, f_lo = hi, f_hi
 
     s = 0.5 * (lo + hi)
     for _ in range(100):

@@ -64,7 +64,8 @@ def disk_s_of_mu(radius, mu, tol=1e-13):
     """Invert the exact disk F: unique s <= 0 with F(s) = mu (mu <= 0).
 
     The lower end of the bracket doubles until F falls below mu; Brent's
-    method then finds the root to ``tol * (1 + |s|)``.
+    method then finds the root to relative accuracy ``tol``, which holds
+    down to the smallest |mu|.
     """
     if mu > 0:
         raise GeometryError("disk_s_of_mu handles mu <= 0; use "
@@ -77,8 +78,9 @@ def disk_s_of_mu(radius, mu, tol=1e-13):
         lo *= 2.0
     from scipy.optimize import brentq
 
+    # brentq needs a positive xtol; one this small leaves the stop to rtol
     return brentq(lambda s: disk_F(radius, s) - mu, lo, 0.0,
-                  xtol=tol, rtol=tol)
+                  xtol=1e-300, rtol=tol)
 
 
 # a hair above the first zero of J0: J0 < 0 there for any radius, so the

@@ -239,8 +239,11 @@ _SQUARE_MESH = ("5 4 4\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n"
     ("3 0 4\n", "3 0 5\n"),
     ("3 0 4\n", "3 -5 4\n"),
     ("0.5 0.5", "0.5 nan"),
+    # the same square split into two triangles: every node on the boundary
+    (_SQUARE_MESH[:_SQUARE_MESH.index("0 1\n")],
+     "4 2 4\n0 0\n1 0\n1 1\n0 1\n0 1 2\n0 2 3\n"),
 ], ids=["non-integer header", "index >= N", "negative index",
-        "NaN coordinate"])
+        "NaN coordinate", "no interior node"])
 def test_malformed_mesh_file_is_clean_error(tmp_path, capsys, good, bad):
     assert good in _SQUARE_MESH
     path = tmp_path / "bad.mesh"

@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from robinopt import (
     BoundaryFunction,
@@ -18,6 +19,7 @@ from robinopt import (
     heat_content,
     laplace_transform_check,
     normal_flux,
+    optimize,
     robin_principal_eigenvalue,
     solve_resolvent,
 )
@@ -168,6 +170,92 @@ def test_robin_eigen_monotone_in_sigma(disk_mesh_coarse):
             disk_mesh_coarse, BoundaryFunction(disk_mesh_coarse, lo + gap)
         ).eigenvalue
         assert lam_lo <= lam_hi + 1e-9
+
+
+def _blowup_sigma(mesh, mu, n):
+    # the verify blow-up family: all of mu on the boundary ball of radius
+    # 2^-n around (1, 0)
+    w = assemble(mesh).boundary_node_weights
+    bdist = np.linalg.norm(mesh.nodes[mesh.boundary_nodes] - [1.0, 0.0],
+                           axis=1)
+    support = bdist <= 2.0**-n
+    sig = np.zeros(len(w))
+    sig[support] = mu / w[support].sum()
+    return sig
+
+
+@pytest.fixture(scope="module")
+def eigen_cases(disk_mesh_coarse):
+    mesh = disk_mesh_coarse
+    res = optimize(mesh, -5.0)
+    nb = len(mesh.boundary_nodes)
+    rng = np.random.default_rng(3)
+    scale = np.abs(res.sigma_mu.values).max()
+    return res, {
+        "random": rng.uniform(-3.0, 1.0, nb),
+        "perturbed": res.sigma_mu.values
+        + 0.5 * scale * rng.uniform(-1.0, 1.0, nb),
+        "constant negative": np.full(nb, -4.0),
+        "constant positive": np.full(nb, 2.0),
+        "concentrated": _blowup_sigma(mesh, -1.0, 6),
+    }
+
+
+def test_robin_eigen_matches_dense_reference(monkeypatch, disk_mesh_coarse,
+                                             eigen_cases):
+    mesh = disk_mesh_coarse
+    res, cases = eigen_cases
+    asm = assemble(mesh)
+    K, M = asm.K.toarray(), asm.M.toarray()
+    lanczos = []
+    original = fem.eigsh
+
+    def counting_eigsh(*args, **kwargs):
+        lanczos.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "eigsh", counting_eigsh)
+    took_lanczos = set()
+    for name, values in cases.items():
+        sigma = BoundaryFunction(mesh, values)
+        A = K + asm.trace_mass(sigma).toarray()
+        ref = scipy.linalg.eigh(A, M, subset_by_index=[0, 0],
+                                eigvals_only=True)[0]
+        for v0 in (None, res.u_mu.values):
+            before = len(lanczos)
+            out = robin_principal_eigenvalue(
+                mesh, sigma, v0=None if v0 is None else v0.copy())
+            if len(lanczos) > before:
+                took_lanczos.add(name)
+            lam, v = out.eigenvalue, out.eigenfunction.values
+            label = (name, "warm" if v0 is not None else "cold")
+            assert abs(lam - ref) <= 1e-9 * abs(ref), label
+            assert np.linalg.norm(A @ v - lam * (M @ v)) <= 1e-8, label
+            assert out.residual_norm <= 1e-8, label
+            assert v @ (M @ v) == pytest.approx(1.0, abs=1e-10), label
+            assert v.min() >= -1e-6 * v.max(), label
+    # both paths are covered: the blow-up family takes the fallback
+    assert took_lanczos and took_lanczos != set(cases), took_lanczos
+
+
+def test_robin_eigen_warm_start_one_factorization(monkeypatch,
+                                                  disk_mesh_coarse,
+                                                  eigen_cases):
+    mesh = disk_mesh_coarse
+    res, cases = eigen_cases
+    lus = []
+    original = fem.splu
+
+    def counting_splu(*args, **kwargs):
+        lus.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "splu", counting_splu)
+    out = robin_principal_eigenvalue(
+        mesh, BoundaryFunction(mesh, cases["perturbed"]),
+        v0=res.u_mu.values.copy())
+    assert out.residual_norm <= 1e-8
+    assert len(lus) == 1
 
 
 def test_dirichlet_ground_energy(disk_mesh_mid, square_mesh_mid):

@@ -17,6 +17,7 @@ from robinopt import (
     small_mu_coefficient,
     solve_s_of_mu,
 )
+from robinopt import fem
 
 # double Fourier series oracle for the unit-square torsion integral
 S_SQUARE = 0.035144253311624234
@@ -77,6 +78,22 @@ def test_resolution_cap(disk_mesh_coarse):
 def test_positive_mu_range_guard(disk_mesh_coarse):
     with pytest.raises(SpectralRangeError, match="smaller mu"):
         solve_s_of_mu(disk_mesh_coarse, 1e9)
+
+
+def test_positive_mu_bracket_needs_no_cg_fallback(monkeypatch, disk_mesh_mid):
+    # the upper bracket end stops short of the nearly singular shifts where
+    # the direct solve misses its residual gate
+    calls = []
+    original = fem.cg
+
+    def counting_cg(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "cg", counting_cg)
+    res = optimize(disk_mesh_mid, 4.0)
+    assert abs(res.sigma_mu.integral - 4.0) <= res.tol
+    assert calls == []
 
 
 def test_optimize_zero_is_degenerate(disk_mesh_coarse):

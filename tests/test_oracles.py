@@ -68,6 +68,13 @@ def test_disk_s_of_mu_round_trip():
     assert disk_s_of_mu(1.0, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("mu", [-1e-12, -1e-30])
+def test_disk_s_of_mu_relative_accuracy_at_tiny_mu(mu):
+    # F(s) = pi s - pi s^2 / 8 + O(s^3) on the unit disk
+    expansion = mu / math.pi - mu**2 / (8 * math.pi**2)
+    assert disk_s_of_mu(1.0, mu) == pytest.approx(expansion, rel=1e-12, abs=0)
+
+
 def test_disk_robin_lambda_zero():
     assert disk_robin_lambda(1.0, 0.0) == 0.0
 
