@@ -1,17 +1,23 @@
 """Sparse P1 finite-element core.
 
 Assembles stiffness, mass, and lumped boundary-mass matrices; solves the
-Dirichlet resolvent problem (-Lap - s) u = 1; recovers boundary fluxes
-variationally; computes principal Robin eigenvalues by inverse iteration
-at one shift, one factorization per solve, with a Lanczos shift-invert
-fallback; and time-steps the Dirichlet heat equation for the heat content
-by implicit Euler on a dyadic step ladder, one factorization per step size.
+Dirichlet resolvent problem (-Lap - s) u = 1; models G(s) = int U_s on a
+rational Krylov space, a small dense pencil per mesh; recovers boundary
+fluxes variationally; computes principal Robin eigenvalues by inverse
+iteration at one shift, one factorization per solve, with a Lanczos
+shift-invert fallback; and time-steps the Dirichlet heat equation for the
+heat content by implicit Euler on a dyadic step ladder, one factorization
+per step size.
+
+Every sparse LU goes through ``_factorize``: SuperLU with a symmetric
+minimum-degree ordering and diagonal pivots, which suits these symmetric
+systems. At most one factorization is live at a time.
 
 All solves are deterministic. Assembled matrices, their interior blocks,
-resolvent solutions, the ground Dirichlet energy, and heat curves are
-memoized on the mesh's ``Assembly``, which refers back to the mesh only
-weakly, so a dropped mesh is freed at once. Values are never mutated after
-construction, so sharing meshes across threads is safe.
+resolvent solutions, the resolvent model, the ground Dirichlet energy, and
+heat curves are memoized on the mesh's ``Assembly``, which refers back to
+the mesh only weakly, so a dropped mesh is freed at once. Values are never
+mutated after construction, so sharing meshes across threads is safe.
 """
 
 import math
@@ -89,6 +95,27 @@ class HeatContentCurve:
 
 
 @dataclass(frozen=True)
+class ResolventModel:
+    """Galerkin model of G(s) = int U_s on a rational Krylov space.
+
+    G~(s) = b' (K_r - s M_r)^-1 b = sum_i weights_i / (ritz_i - s), where
+    ``ritz`` are the Ritz values of the Dirichlet pencil on the space and
+    ``weights`` the squared loadings of the mass vector on the Ritz vectors.
+    As a Galerkin (rational Gauss) quadrature for G, it gives G~ <= G below
+    the first Dirichlet eigenvalue.
+    """
+
+    ritz: np.ndarray
+    weights: np.ndarray
+
+    def __call__(self, s):
+        """G~(s) and its derivative G~'(s) = sum_i weights_i / (ritz_i - s)^2."""
+        d = 1.0 / (self.ritz - s)
+        terms = self.weights * d
+        return float(terms.sum()), float(terms @ d)
+
+
+@dataclass(frozen=True)
 class SpectralResult:
     eigenvalue: float
     eigenfunction: FieldSolution
@@ -128,6 +155,7 @@ class Assembly:
         # shift -> nodal values; wrapped on return, so no mesh is stored
         self._resolvent_cache = {}
         self._heat_cache = {}
+        self._models = {}  # poles -> ResolventModel
 
     @property
     def mesh(self):
@@ -191,6 +219,18 @@ def assemble(mesh):
     return asm
 
 
+def _factorize(A):
+    """Sparse LU of a symmetric system, ordered for symmetry.
+
+    Minimum degree on A' + A with diagonal pivots and SuperLU's symmetric
+    mode: on the SPD (or shifted SPD) systems here the factors stay close
+    to a Cholesky factor, with about a third less fill and time than the
+    default column ordering.
+    """
+    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                options={"SymmetricMode": True})
+
+
 def _solve_spd(A, rhs):
     """Direct sparse solve with an iterative fallback.
 
@@ -202,7 +242,7 @@ def _solve_spd(A, rhs):
     rhs = np.asarray(rhs, dtype=float)
     A_csc = A.tocsc()
     try:
-        x = splu(A_csc).solve(rhs)
+        x = _factorize(A_csc).solve(rhs)
         resid = np.linalg.norm(A_csc @ x - rhs)
         if resid <= 1e-10 * (1.0 + np.linalg.norm(rhs)):
             return x
@@ -261,6 +301,60 @@ def solve_resolvent(mesh, s):
     return FieldSolution(mesh, u, tag)
 
 
+# Krylov vectors per pole of the resolvent model
+_KRYLOV_DEPTH = 8
+
+
+def _m_orthonormal(w, Q, M):
+    """``w`` M-orthogonalized against the columns of ``Q`` (two Gram-Schmidt
+    passes) and M-normalized; None if nothing independent is left."""
+    norm0 = math.sqrt(w @ (M @ w))
+    for _ in range(2):
+        w = w - Q @ (Q.T @ (M @ w))
+    norm = math.sqrt(w @ (M @ w))
+    if not norm > 1e-10 * norm0:
+        return None
+    return w / norm
+
+
+def resolvent_model(mesh, poles):
+    """Rational Krylov model of G(s) = int U_s (memoized per mesh and poles).
+
+    Each pole p contributes the vectors (K - pM)^-1 m and
+    ((K - pM)^-1 M)^j (K - pM)^-1 m, j = 1..7, on the interior nodes, with m
+    the mass vector of the constant one. One factorization per pole, each
+    released before the next is built. The union is M-orthonormalized and K
+    projected on it; the eigenpairs of that small matrix give the model.
+    """
+    asm = assemble(mesh)
+    key = tuple(float(p) for p in poles)
+    model = asm._models.get(key)
+    if model is not None:
+        return model
+    K, M = asm.K_II, asm.M_II
+    m1 = asm.mass_times_one[asm.interior]
+    Q = np.empty((len(m1), 0))
+    for p in key:
+        lu = None  # release the last pole's factors before the next
+        lu = _factorize(K - p * M)
+        chain = np.empty((len(m1), 0))
+        w = _m_orthonormal(lu.solve(m1), chain, M)
+        while w is not None:
+            chain = np.column_stack([chain, w])
+            if chain.shape[1] == _KRYLOV_DEPTH:
+                break
+            w = _m_orthonormal(lu.solve(M @ w), chain, M)
+        for w in chain.T:
+            w = _m_orthonormal(w, Q, M)
+            if w is not None:
+                Q = np.column_stack([Q, w])
+    T = Q.T @ (K @ Q)
+    ritz, Y = np.linalg.eigh(0.5 * (T + T.T))
+    model = ResolventModel(ritz, (Y.T @ (Q.T @ m1)) ** 2)
+    asm._models[key] = model
+    return model
+
+
 def normal_flux(mesh, u, s):
     """Variational outward normal derivative of a resolvent solution.
 
@@ -285,7 +379,7 @@ def estimate_dirichlet_e1(mesh, tol=1e-8, max_iter=400):
     if asm.e1 is not None:
         return asm.e1
     K, M = asm.K_II, asm.M_II
-    lu = splu(K)
+    lu = _factorize(K)
     v = np.ones(K.shape[0])
     v /= math.sqrt(v @ (M @ v))
     for _ in range(max_iter):
@@ -410,7 +504,7 @@ def _inverse_iteration(A, M, shift, v, tol):
     (rho, v, residual, steps); raises ``SolverError`` after 200 steps.
     """
     try:
-        lu = splu((A - shift * M).tocsc())
+        lu = _factorize(A - shift * M)
     except RuntimeError as exc:
         raise SolverError(f"factorization failed at shift {shift:g}: {exc}")
     Mv = M @ v
@@ -471,7 +565,7 @@ def _heat_curve(mesh, horizon, steps_per_decade=400, t_small=None):
         step = min(1 << max(0, ((4 * k).bit_length() - 1) // 2), total - k)
         if step != rung:
             lu = None  # release the last rung's factors before the next
-            lu = splu(M + (step * dt0) * K)
+            lu = _factorize(M + (step * dt0) * K)
             rung = step
         v = lu.solve(v if k == 0 else M @ v)
         ticks.append(k + step)

@@ -22,6 +22,8 @@ from .errors import GeometryError, MeshResourceError
 
 _MAX_GRADING_LEVELS = 12
 _DEFAULT_NODE_CAP = 500_000
+# domain lengths whose squares and cubes stay far inside the float range
+_MIN_LENGTH, _MAX_LENGTH = 1e-6, 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -38,45 +40,48 @@ class Domain:
 
     @classmethod
     def disk(cls, radius):
-        if radius <= 0:
-            raise GeometryError("disk radius must be positive")
-        return cls("disk", (float(radius),))
+        return cls("disk", (_length("disk radius", radius),))
 
     @classmethod
     def annulus(cls, outer, inner):
-        if not 0 < inner < outer:
+        outer = _length("annulus outer radius", outer)
+        inner = _length("annulus inner radius", inner)
+        if not inner < outer:
             raise GeometryError("annulus requires 0 < inner radius < outer radius")
-        return cls("annulus", (float(outer), float(inner)))
+        return cls("annulus", (outer, inner))
 
     @classmethod
     def rectangle(cls, a, b):
-        if a <= 0 or b <= 0:
-            raise GeometryError("rectangle side lengths must be positive")
-        return cls("rectangle", (float(a), float(b)))
+        return cls("rectangle", (_length("rectangle side a", a),
+                                 _length("rectangle side b", b)))
 
     @classmethod
     def regular_polygon(cls, n, circumradius):
         if int(n) != n or n < 3:
             raise GeometryError("regular polygon needs an integer n >= 3")
-        if circumradius <= 0:
-            raise GeometryError("circumradius must be positive")
-        return cls("ngon", (int(n), float(circumradius)))
+        return cls("ngon", (int(n), _length("circumradius", circumradius)))
 
     @classmethod
     def lshape(cls, a=1.0, b=1.0):
-        if a <= 0 or b <= 0:
-            raise GeometryError("L-shape arm lengths must be positive")
-        return cls("lshape", (float(a), float(b)))
+        return cls("lshape", (_length("L-shape arm a", a),
+                              _length("L-shape arm b", b)))
 
     @classmethod
     def polygon(cls, vertices):
         verts = tuple((float(x), float(y)) for x, y in vertices)
+        if not all(abs(c) <= _MAX_LENGTH for v in verts for c in v):
+            raise GeometryError(
+                f"polygon vertex coordinates must be finite, of magnitude "
+                f"at most {_MAX_LENGTH:g}"
+            )
         if len(verts) < 3:
             raise GeometryError("polygon needs at least 3 vertices")
         if _signed_area(verts) <= 0:
             verts = verts[::-1]
-        if _signed_area(verts) <= 0:
-            raise GeometryError("polygon must enclose positive area")
+        if not _signed_area(verts) >= _MIN_LENGTH**2:
+            raise GeometryError(
+                f"polygon must enclose an area of at least {_MIN_LENGTH**2:g}"
+            )
         if not _is_simple_polygon(verts):
             raise GeometryError("polygon must be simple (non-self-intersecting)")
         return cls("polygon", (), verts)
@@ -85,6 +90,17 @@ class Domain:
         if self.kind == "polygon":
             return f"polygon[{len(self.vertices)}]"
         return self.kind + ":" + ",".join(f"{p:g}" for p in self.params)
+
+
+def _length(name, value):
+    """``value`` as a float length, or GeometryError naming ``name``."""
+    value = float(value)
+    if not _MIN_LENGTH <= value <= _MAX_LENGTH:  # also rejects NaN
+        raise GeometryError(
+            f"{name} must be a finite positive length in "
+            f"[{_MIN_LENGTH:g}, {_MAX_LENGTH:g}], got {value!r}"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -420,6 +436,10 @@ def _graded_1d(length, h, w_left, w_right):
             f"domain extent {length:g} too small for target spacing {h:g}"
         )
     n_mid = max(1, math.ceil(rem / h))
+    if n_mid > _DEFAULT_NODE_CAP:  # the 2D mesh would be far beyond any cap
+        raise MeshResourceError(
+            f"domain extent {length:g} needs {n_mid:.3g} spacings of {h:g}"
+        )
     spacings = left + [rem / n_mid] * n_mid + right[::-1]
     pts = np.concatenate([[0.0], np.cumsum(spacings)])
     pts[-1] = length
@@ -841,26 +861,25 @@ def generate_mesh(domain, target_h, boundary_layer_width=0.0,
         raise GeometryError(
             "boundary_layer_width must be non-negative and finite"
         )
-    kind = domain.kind
-    if kind == "disk":
-        return _disk_mesh(domain.params[0], target_h, boundary_layer_width,
-                          node_cap)
-    if kind == "annulus":
-        return _annulus_mesh(*domain.params, target_h, boundary_layer_width,
+    builders = {
+        "disk": _disk_mesh, "annulus": _annulus_mesh,
+        "rectangle": _rectangle_mesh, "ngon": _ngon_mesh,
+        "lshape": _lshape_mesh,
+    }
+    if domain.kind == "polygon":
+        mesh = _polygon_mesh(domain.vertices, target_h, boundary_layer_width,
                              node_cap)
-    if kind == "rectangle":
-        return _rectangle_mesh(*domain.params, target_h, boundary_layer_width,
-                               node_cap)
-    if kind == "ngon":
-        return _ngon_mesh(*domain.params, target_h, boundary_layer_width,
-                          node_cap)
-    if kind == "lshape":
-        return _lshape_mesh(*domain.params, target_h, boundary_layer_width,
-                            node_cap)
-    if kind == "polygon":
-        return _polygon_mesh(domain.vertices, target_h, boundary_layer_width,
-                             node_cap)
-    raise GeometryError(f"unknown domain kind {kind!r}")
+    elif domain.kind in builders:
+        mesh = builders[domain.kind](*domain.params, target_h,
+                                     boundary_layer_width, node_cap)
+    else:
+        raise GeometryError(f"unknown domain kind {domain.kind!r}")
+    if len(mesh.boundary_nodes) == len(mesh.nodes):
+        raise GeometryError(
+            f"{domain} at spacing {target_h:g} gives a mesh with no interior "
+            "node"
+        )
+    return mesh
 
 
 def parse_domain(spec):

@@ -5,8 +5,10 @@ increasing, so the constraint equation F(s(mu)) = mu has a unique root;
 that root is the maximized principal eigenvalue, the optimal boundary
 parameter is -s times the variational normal flux of U_s, and the
 associated minimizer is s U_s + 1 (equal to one on the boundary by
-construction). All quantities here use mesh-derived area and perimeter so
-the discrete identities hold exactly.
+construction). The root is placed on the mesh's rational Krylov model of
+int U_s (``fem.resolvent_model``, built once per mesh), so one exact
+resolvent solve usually confirms it. All quantities here use mesh-derived
+area and perimeter so the discrete identities hold exactly.
 """
 
 from dataclasses import dataclass
@@ -18,9 +20,10 @@ from .errors import ResolutionCapError, SolverError, SpectralRangeError
 
 # largest sqrt(|s|) * h_boundary the boundary layer tolerates
 _LAYER_RESOLUTION = 0.2
-# closest relative approach of a mu > 0 bracket to the Dirichlet ground
-# energy; the resolvent system is nearly singular there
-_E1_MARGIN = 1e-6
+# closest relative approach of a mu > 0 root to the Dirichlet ground energy;
+# closer in, the resolvent system is so nearly singular that its direct
+# solve misses the residual gate of fem._solve_spd
+_E1_MARGIN = 1e-4
 
 
 def default_tol(mu):
@@ -77,16 +80,50 @@ def _s_cap(mesh):
     return (_LAYER_RESOLUTION / mesh.h_boundary) ** 2
 
 
+def _newton(F, F_prime, mu, lo, hi, s, edge, tol):
+    """Safeguarded Newton iteration for F(s) = mu on [lo, hi], from s.
+
+    A step that leaves the bracket bisects it instead, unless it crosses
+    ``edge``, an end of the range where F is not yet known: then F is
+    evaluated there. Returns (s, F(s), evaluations) once |F(s) - mu| <= tol,
+    once F at the edge shows the root lies beyond it, or at the 100th
+    evaluation.
+    """
+    for n in range(1, 101):
+        f = F(s)
+        if abs(f - mu) <= tol or n == 100:
+            break
+        if s == edge:
+            if (f > mu) == (mu < 0):
+                break
+            edge = None  # the root lies inside
+        if f < mu:
+            lo = s
+        else:
+            hi = s
+        s_new = s - (f - mu) / F_prime(s)
+        if (s_new <= lo and lo == edge) or (s_new >= hi and hi == edge):
+            s_new = edge
+        elif not (lo < s_new < hi):
+            s_new = 0.5 * (lo + hi)
+        s = s_new
+    return s, f, n
+
+
 def solve_s_of_mu(mesh, mu, tol=None):
-    """Unique root of F(s) = mu by safeguarded Newton iteration.
+    """Unique root of F(s) = mu, placed on a model and polished exactly.
 
-    For mu < 0 the initial bracket is [-4 (mu/P)^2 - 1, 0] from the leading
-    asymptotic term of F, expanded leftward by doubling; for mu > 0 the
-    upper end E1 (1 - 2^-k), k = 1, 2, ..., approaches the Dirichlet ground
-    energy E1 until F reaches mu, stopping at E1 (1 - 1e-6). Newton steps
-    use F' and fall back to bisection whenever they leave the bracket.
+    The root is first found on the mesh's rational Krylov model
+    F~(s) = s^2 G~(s) + s |Omega| of F (see ``fem.resolvent_model``; poles 0
+    and s_cap), to a hundredth of the tolerance, inside [s_cap, 0] for
+    mu < 0, with s_cap the boundary-layer resolution cap, or
+    [0, E1 (1 - 1e-4)] for mu > 0, with E1 the Dirichlet ground energy.
+    One exact F at that point usually meets the tolerance; otherwise
+    safeguarded Newton steps on the exact F follow. An end of the range is
+    only reported as an error once the exact F there confirms that the root
+    lies beyond it.
 
-    Returns (s, iterations).
+    Returns (s, iterations), counting the exact evaluations of F.
 
     Raises
     ------
@@ -103,62 +140,45 @@ def solve_s_of_mu(mesh, mu, tol=None):
         raise SolverError("tolerance must be positive")
     if mu == 0.0:
         return 0.0, 0
-    iters = 0
     if mu < 0:
-        s_cap = -_s_cap(mesh)
-        perim = mesh.boundary_length()
-        lo = max(-4.0 * (mu / perim) ** 2 - 1.0, s_cap)
-        f_lo = eval_F(mesh, lo)
-        iters += 1
-        while f_lo > mu:
-            if lo <= s_cap:
-                admissible = f_lo  # = F at the cap
-                raise ResolutionCapError(
-                    f"mu={mu:g} needs a shift beyond the boundary-layer "
-                    f"resolution cap |s| <= {-s_cap:g} "
-                    f"(h_boundary={mesh.h_boundary:g}); finest admissible "
-                    f"mu is {admissible:.6g}",
-                    admissible_mu=admissible,
-                )
-            lo = max(2.0 * lo, s_cap)
-            f_lo = eval_F(mesh, lo)
-            iters += 1
-        hi, f_hi = 0.0, 0.0
+        lo = edge = -_s_cap(mesh)
+        hi = 0.0
     else:
         e1 = fem.estimate_dirichlet_e1(mesh)
-        lo, f_lo = 0.0, 0.0
-        gap = 1.0
-        while True:
-            gap = max(0.5 * gap, _E1_MARGIN)
-            hi = e1 * (1.0 - gap)
-            f_hi = eval_F(mesh, hi)
-            iters += 1
-            if f_hi >= mu:
-                break
-            if gap == _E1_MARGIN:
-                raise SpectralRangeError(
-                    f"mu={mu:g} needs a shift within {e1 - hi:.3g} of the "
-                    f"Dirichlet ground energy {e1:.6g}; request a smaller mu"
-                )
-            lo, f_lo = hi, f_hi
+        lo = 0.0
+        hi = edge = e1 * (1.0 - _E1_MARGIN)
+    model = fem.resolvent_model(mesh, (0.0, -_s_cap(mesh)))
+    area = float(fem.assemble(mesh).mass_times_one.sum())
 
-    s = 0.5 * (lo + hi)
-    for _ in range(100):
-        f = eval_F(mesh, s)
-        iters += 1
-        if abs(f - mu) <= tol:
-            return s, iters
-        if f < mu:
-            lo, f_lo = s, f
-        else:
-            hi, f_hi = s, f
-        step = (f - mu) / eval_F_prime(mesh, s)
-        s_new = s - step
-        if not (lo < s_new < hi):
-            s_new = 0.5 * (lo + hi)
-        s = s_new
-    raise SolverError(
-        f"root iteration for mu={mu:g} stalled at |F-mu|={abs(f - mu):g}"
+    def F_model(s):
+        return s * s * model(s)[0] + s * area
+
+    def F_model_prime(s):
+        g, dg = model(s)
+        return 2.0 * s * g + s * s * dg + area
+
+    s = _newton(F_model, F_model_prime, mu, lo, hi, 0.5 * (lo + hi), edge,
+                0.01 * tol)[0]
+    s, f, iters = _newton(lambda s: eval_F(mesh, s),
+                          lambda s: eval_F_prime(mesh, s),
+                          mu, lo, hi, s, edge, tol)
+    if abs(f - mu) <= tol:
+        return s, iters
+    if s != edge or (f > mu) != (mu < 0):
+        raise SolverError(
+            f"root iteration for mu={mu:g} stalled at |F-mu|={abs(f - mu):g}"
+        )
+    if mu < 0:
+        raise ResolutionCapError(
+            f"mu={mu:g} needs a shift beyond the boundary-layer "
+            f"resolution cap |s| <= {-edge:g} "
+            f"(h_boundary={mesh.h_boundary:g}); finest admissible "
+            f"mu is {f:.6g}",
+            admissible_mu=f,
+        )
+    raise SpectralRangeError(
+        f"mu={mu:g} needs a shift within {e1 - edge:.3g} of the "
+        f"Dirichlet ground energy {e1:.6g}; request a smaller mu"
     )
 
 

@@ -220,11 +220,18 @@ def test_usage_error_exit_code(capsys):
     ("oracle", "--s", "inf"),
     ("oracle", "--sigma", "nan"),
     ("oracle", "--mu", "inf"),
+    # domain specs: the factory names the parameter it rejects
+    ("optimize", "--mu", "-1", "--domain", "disk:nan"),
+    ("optimize", "--mu", "-1", "--domain", "disk:inf"),
+    ("optimize", "--mu", "-1", "--domain", "disk:1e300"),
+    ("optimize", "--mu", "-1", "--domain", "rect:1e-300,1"),
 ])
 def test_non_finite_option_is_clean_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
-    assert "error:" in err and "not a finite number" in err
+    expected = ("not a finite number" if "--domain" not in argv
+                else "must be a finite positive length")
+    assert "error:" in err and expected in err
     assert "Traceback" not in err
     assert out == ""
 
@@ -257,12 +264,19 @@ def test_malformed_mesh_file_is_clean_error(tmp_path, capsys, good, bad):
 
 def test_cli_import_leaves_integrate_and_optimize_unloaded():
     # scipy.integrate and scipy.optimize are imported lazily, inside the
-    # corner coefficient and the disk root-finds
-    code = ("import sys, robinopt.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
-            "if m in sys.modules))")
+    # corner coefficient and the disk root-finds; a sweep on the disk needs
+    # neither, and scipy.optimize alone adds about 12 MB of resident memory
+    code = ("import os, sys, robinopt.cli\n"
+            "def loaded():\n"
+            "    return sorted(m for m in ('scipy.integrate', 'scipy.optimize')"
+            " if m in sys.modules)\n"
+            "print(loaded())\n"
+            "code = robinopt.cli.main(['sweep', '--domain', 'disk:1', '--h', "
+            "'0.1', '--mu-from', '-5', '--mu-to', '3', '--mu-count', '3', "
+            "'--output', os.devnull])\n"
+            "print(code, loaded())\n")
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(robinopt.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines() == ["[]", "0 []"]

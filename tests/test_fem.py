@@ -258,6 +258,22 @@ def test_robin_eigen_warm_start_one_factorization(monkeypatch,
     assert len(lus) == 1
 
 
+@pytest.mark.parametrize("domain", [Domain.disk(1.0), Domain.lshape(),
+                                    Domain.rectangle(1.0, 1.0)],
+                         ids=["disk", "lshape", "square"])
+def test_symmetric_factorization_matches_default_splu(domain):
+    # the symmetric ordering changes rounding only
+    mesh = generate_mesh(domain, 0.05)
+    asm = assemble(mesh)
+    rhs = asm.mass_times_one[asm.interior]
+    for s in (0.0, -1.0, -37.5, 3.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryLayerWarning)
+            u = solve_resolvent(mesh, s).values[asm.interior]
+        ref = fem.splu((asm.K_II - s * asm.M_II).tocsc()).solve(rhs)
+        assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_dirichlet_ground_energy(disk_mesh_mid, square_mesh_mid):
     assert estimate_dirichlet_e1(disk_mesh_mid) == pytest.approx(
         J01_SQ, rel=5e-3

@@ -79,6 +79,35 @@ def test_domain_validation():
             generate_mesh(Domain.disk(1.0), bad)
         with pytest.raises(GeometryError):
             generate_mesh(Domain.disk(1.0), 0.1, boundary_layer_width=bad)
+    # every factory names the parameter it rejects: NaN, +-inf, and lengths
+    # whose powers leave the float range
+    for bad in (math.nan, math.inf, -math.inf, 1e300, 1e-300):
+        for make, name in (
+            (lambda x: Domain.disk(x), "disk radius"),
+            (lambda x: Domain.annulus(x, 1.0), "outer radius"),
+            (lambda x: Domain.annulus(2.0, x), "inner radius"),
+            (lambda x: Domain.rectangle(x, 1.0), "side a"),
+            (lambda x: Domain.rectangle(1.0, x), "side b"),
+            (lambda x: Domain.regular_polygon(6, x), "circumradius"),
+            (lambda x: Domain.lshape(x, 1.0), "arm a"),
+            (lambda x: Domain.lshape(1.0, x), "arm b"),
+        ):
+            with pytest.raises(GeometryError, match=name):
+                make(bad)
+    for bad in (math.nan, math.inf, -math.inf, 1e300):
+        with pytest.raises(GeometryError, match="vertex"):
+            Domain.polygon([(0, 0), (bad, 0), (0, 1)])
+    with pytest.raises(GeometryError, match="area"):
+        Domain.polygon([(0, 0), (1e-300, 0), (0, 1)])
+    for spec in ("disk:nan", "disk:inf", "disk:1e300", "rect:1e-300,1"):
+        with pytest.raises(GeometryError, match="disk radius|side a"):
+            parse_domain(spec)
+    # a mesh with no interior node, or one with an absurd node count, is
+    # refused before any solve
+    with pytest.raises(GeometryError, match="no interior node"):
+        generate_mesh(Domain.rectangle(1e-6, 1.0), 0.02)
+    with pytest.raises(MeshResourceError):
+        generate_mesh(Domain.disk(1e6), 0.02)
 
 
 def test_polygon_orientation_normalized():

@@ -17,7 +17,7 @@ from robinopt import (
     small_mu_coefficient,
     solve_s_of_mu,
 )
-from robinopt import fem
+from robinopt import fem, optimizer, verify
 
 # double Fourier series oracle for the unit-square torsion integral
 S_SQUARE = 0.035144253311624234
@@ -78,6 +78,66 @@ def test_resolution_cap(disk_mesh_coarse):
 def test_positive_mu_range_guard(disk_mesh_coarse):
     with pytest.raises(SpectralRangeError, match="smaller mu"):
         solve_s_of_mu(disk_mesh_coarse, 1e9)
+
+
+def test_positive_mu_out_of_range_is_one_exact_probe(monkeypatch):
+    # e1 and the two model poles take one factorization each; the model
+    # puts the root beyond the E1 floor, and one exact F there confirms it
+    mesh = generate_mesh(Domain.disk(1.0), 0.05, boundary_layer_width=0.045)
+    calls = {"splu": 0, "cg": 0, "eval_F": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(fem, "splu", counting("splu", fem.splu))
+    monkeypatch.setattr(fem, "cg", counting("cg", fem.cg))
+    monkeypatch.setattr(optimizer, "eval_F",
+                        counting("eval_F", optimizer.eval_F))
+    with pytest.raises(SpectralRangeError, match="smaller mu"):
+        optimize(mesh, 1e9)
+    assert calls == {"splu": 4, "cg": 0, "eval_F": 1}
+
+
+SWEEP_MUS = np.linspace(-20.0, 8.0, 8)
+
+
+@pytest.fixture(scope="module")
+def sweep_meshes():
+    """The meshes of a sweep over SWEEP_MUS at h = 0.03."""
+    domains = {"disk": Domain.disk(1.0), "rect": Domain.rectangle(1.0, 1.0),
+               "ngon": Domain.regular_polygon(6, 1.0),
+               "lshape": Domain.lshape(), "annulus": Domain.annulus(2.0, 1.0)}
+    return {name: verify.mesh_for(dom, SWEEP_MUS.min(), 0.03)
+            for name, dom in domains.items()}
+
+
+@pytest.mark.parametrize("name", ["disk", "lshape"])
+def test_resolvent_model_matches_exact_F(sweep_meshes, name):
+    mesh = sweep_meshes[name]
+    s_cap = -optimizer._s_cap(mesh)
+    model = fem.resolvent_model(mesh, (0.0, s_cap))
+    assert fem.resolvent_model(mesh, (0.0, s_cap)) is model
+    area = mesh.area()
+    e1 = fem.estimate_dirichlet_e1(mesh)
+    shifts = np.concatenate([np.linspace(s_cap, -0.5, 6),
+                             e1 * np.array([0.1, 0.5, 0.9, 0.99, 1 - 1e-4])])
+    for s in shifts:
+        g, dg = model(s)
+        F = eval_F(mesh, s)
+        assert s * s * g + s * area == pytest.approx(F, rel=1e-8, abs=0)
+        assert 2 * s * g + s * s * dg + area == pytest.approx(
+            eval_F_prime(mesh, s), rel=1e-6, abs=0)
+
+
+def test_sweep_roots_take_one_exact_solve(sweep_meshes):
+    for name, mesh in sweep_meshes.items():
+        for mu in SWEEP_MUS[SWEEP_MUS != 0.0]:
+            s, iters = solve_s_of_mu(mesh, mu)
+            assert iters == 1, (name, mu)
+            assert abs(eval_F(mesh, s) - mu) <= 1e-10 * (1 + abs(mu))
 
 
 def test_positive_mu_bracket_needs_no_cg_fallback(monkeypatch, disk_mesh_mid):
