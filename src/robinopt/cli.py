@@ -362,6 +362,9 @@ def main(argv=None):
     except (RobinoptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # an unforeseen failure is still an input error
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ Assembles stiffness, mass, and lumped boundary-mass matrices; solves the
 Dirichlet resolvent problem (-Lap - s) u = 1; models G(s) = int U_s on a
 rational Krylov space, a small dense pencil per mesh; recovers boundary
 fluxes variationally; computes principal Robin eigenvalues by inverse
-iteration at one shift, one factorization per solve, with a Lanczos
+iteration at one shift, one factorization per solve and none when the
+start vector already meets the residual tolerance, with a Lanczos
 shift-invert fallback; and time-steps the Dirichlet heat equation for the
 heat content by implicit Euler on a dyadic step ladder, one factorization
 per step size.
@@ -409,11 +410,14 @@ def robin_principal_eigenvalue(mesh, sigma, tol=1e-8, v0=None):
     ``v0`` the shift sits below the spectrum by the square of the largest
     negative parameter value and the iteration starts from the constants.
     A warm start ``v0`` is both the starting vector and the source of the
-    shift, which sits just below its Rayleigh quotient. If that iteration
-    stalls or converges to a mode that is not sign-definite (a higher mode
-    was caught), a Lanczos shift-and-invert solve takes over, lowering its
-    shift until no lower eigenvalue appears, with a hard error after 5
-    retries.
+    shift, which sits just below its Rayleigh quotient. A start that already
+    meets the residual tolerance is taken as it is, after 0 iterations and
+    with no factorization: the minimizer u_mu of ``optimizer.optimize`` is
+    such a start for sigma_mu, and so are the constants for sigma = 0. If
+    the iteration stalls or ends on a mode that is not sign-definite (a
+    higher mode was caught, or given as the start), a Lanczos
+    shift-and-invert solve takes over, lowering its shift until no lower
+    eigenvalue appears, with a hard error after 5 retries.
 
     The returned eigenfunction is positive and M-normalized; the residual
     norm ||(K + B - lambda M) u|| is at most ``tol``.
@@ -499,23 +503,29 @@ def _lanczos_ground(A, M, tau, tol):
 def _inverse_iteration(A, M, shift, v, tol):
     """Inverse iteration v <- (A - shift M)^-1 M v, M-normalized.
 
-    One factorization serves every step. Stops once the Rayleigh-quotient
-    residual ||A v - rho M v|| is at most ``tol`` and returns
-    (rho, v, residual, steps); raises ``SolverError`` after 200 steps.
+    The stopping rule is tested on the start vector first: if its
+    Rayleigh-quotient residual ||A v - rho M v|| is already at most ``tol``,
+    it is returned after 0 steps and nothing is factorized (one step from
+    an eigenvector would only rescale it). Otherwise one factorization
+    serves every step. Returns (rho, v, residual, steps); raises
+    ``SolverError`` after 200 steps.
     """
-    try:
-        lu = _factorize(A - shift * M)
-    except RuntimeError as exc:
-        raise SolverError(f"factorization failed at shift {shift:g}: {exc}")
     Mv = M @ v
-    for it in range(1, 201):
-        v = lu.solve(Mv)
-        Mv = M @ v
+    for it in range(201):
+        if it == 1:
+            try:
+                lu = _factorize(A - shift * M)
+            except RuntimeError as exc:
+                raise SolverError(
+                    f"factorization failed at shift {shift:g}: {exc}")
+        if it:
+            v = lu.solve(Mv)
+            Mv = M @ v
         norm = math.sqrt(v @ Mv)
         if not math.isfinite(norm) or norm == 0.0:
             raise SolverError("inverse iteration produced a bad vector")
-        v /= norm
-        Mv /= norm
+        v = v / norm
+        Mv = Mv / norm
         Av = A @ v
         rho = float(v @ Av)
         resid = float(np.linalg.norm(Av - rho * Mv))

@@ -232,10 +232,11 @@ class Mesh:
             raise GeometryError("nodes must be an (N, 2) array")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise GeometryError("triangles must be a (T, 3) array")
-        self.boundary_edges, self.boundary_weights = self._extract_boundary()
+        self.boundary_edges, self.boundary_weights, edge_tris = (
+            self._extract_boundary())
         self.boundary_nodes = np.unique(self.boundary_edges)
         if h_boundary is None:
-            h_boundary = self._boundary_height()
+            h_boundary = self._boundary_height(edge_tris)
         self.h_boundary = float(h_boundary)
         if validate:
             self._validate()
@@ -285,43 +286,40 @@ class Mesh:
     # -- construction helpers -----------------------------------------------
 
     def _extract_boundary(self):
-        edge_count = {}
-        edge_oriented = {}
-        for ti, (i, j, k) in enumerate(self.triangles):
-            for a, b in ((i, j), (j, k), (k, i)):
-                key = (min(a, b), max(a, b))
-                edge_count[key] = edge_count.get(key, 0) + 1
-                edge_oriented[key] = (int(a), int(b))
-        edges = []
-        for key in sorted(edge_count):
-            c = edge_count[key]
-            if c == 1:
-                edges.append(edge_oriented[key])
-            elif c > 2:
-                raise GeometryError(
-                    f"edge {key} shared by {c} triangles; mesh is not a manifold"
-                )
-        edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        """Edges that belong to one triangle, oriented as in that triangle.
+
+        Returns (edges, lengths, triangle of each edge), in the lexicographic
+        order of the sorted edge keys.
+        """
+        n = len(self.nodes)
+        # the three oriented edges of each triangle, triangle by triangle
+        oriented = self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        lo, hi = oriented.min(axis=1), oriented.max(axis=1)
+        # (lo, hi) as one integer sorts like the pair
+        keys, first, counts = np.unique(lo * n + hi, return_index=True,
+                                        return_counts=True)
+        over = np.flatnonzero(counts > 2)
+        if over.size:
+            a, b = divmod(int(keys[over[0]]), n)
+            raise GeometryError(
+                f"edge {(a, b)} shared by {int(counts[over[0]])} triangles; "
+                "mesh is not a manifold"
+            )
+        once = first[counts == 1]
+        edges = oriented[once]
         weights = np.linalg.norm(
             self.nodes[edges[:, 1]] - self.nodes[edges[:, 0]], axis=1
         )
-        return edges, weights
+        return edges, weights, once // 3
 
-    def _boundary_height(self):
+    def _boundary_height(self, edge_tris):
         """Largest normal height of any boundary-edge triangle.
 
         This is the spacing the boundary-layer resolution cap compares
         against, so it must not understate the coarsest boundary cell.
         """
-        edge_to_tri = {}
-        for ti, (i, j, k) in enumerate(self.triangles):
-            for a, b in ((i, j), (j, k), (k, i)):
-                edge_to_tri[(min(a, b), max(a, b))] = ti
-        areas = self.triangle_areas()
-        worst = 0.0
-        for (a, b), w in zip(self.boundary_edges, self.boundary_weights):
-            ti = edge_to_tri[(min(a, b), max(a, b))]
-            worst = max(worst, 2.0 * areas[ti] / w)
+        heights = 2.0 * self.triangle_areas()[edge_tris] / self.boundary_weights
+        worst = float(heights.max(initial=0.0))
         return worst if worst > 0 else self.h_interior
 
     def _validate(self):
@@ -332,10 +330,8 @@ class Mesh:
                 f"triangle {int(bad[0])} has non-positive area {areas[bad[0]]:g}"
             )
         # boundary edges must chain into closed loops: one successor per node
-        outdeg = {}
-        for a, _ in self.boundary_edges:
-            outdeg[int(a)] = outdeg.get(int(a), 0) + 1
-        if any(v != 1 for v in outdeg.values()):
+        tails = self.boundary_edges[:, 0]
+        if len(np.unique(tails)) != len(tails):
             raise GeometryError("boundary edges do not form closed loops")
 
     # -- plain-text exchange format ------------------------------------------
@@ -376,6 +372,8 @@ class Mesh:
             nodes = np.array(vals[: 2 * n], dtype=float).reshape(n, 2)
             tris = np.array(vals[2 * n: 2 * n + 3 * t],
                             dtype=np.int64).reshape(t, 3)
+            declared = np.array(vals[2 * n + 3 * t: 2 * n + 3 * t + 2 * b],
+                                dtype=np.int64).reshape(b, 2)
         except ValueError:
             raise GeometryError(f"mesh file {path} has a non-numeric entry")
         if not np.isfinite(nodes).all():
@@ -383,13 +381,23 @@ class Mesh:
                                 "coordinate")
         if t == 0:
             raise GeometryError(f"mesh file {path} has no triangles")
-        if tris.min() < 0 or tris.max() >= n:
-            raise GeometryError(f"mesh file {path} has a triangle index "
-                                f"outside [0, {n})")
+        for what, ids in (("triangle", tris), ("boundary edge", declared)):
+            if ids.size and (ids.min() < 0 or ids.max() >= n):
+                raise GeometryError(f"mesh file {path} has a {what} index "
+                                    f"outside [0, {n})")
         mesh = cls(nodes, tris, _median_edge_length(nodes, tris))
         if len(mesh.boundary_nodes) == n:
             raise GeometryError(f"mesh file {path} has no interior node")
+        if (b != len(mesh.boundary_edges)
+                or _edge_set(declared) != _edge_set(mesh.boundary_edges)):
+            raise GeometryError(f"mesh file {path} declares boundary edges "
+                                "that do not match its triangles")
         return mesh
+
+
+def _edge_set(edges):
+    """The edges of a (B, 2) index array as a set of undirected pairs."""
+    return set(map(tuple, np.sort(edges, axis=1).tolist()))
 
 
 def _median_edge_length(nodes, tris):
@@ -454,26 +462,24 @@ def _zip_band(inner_ids, inner_ang, outer_ids, outer_ang):
     """Triangulate the band between two concentric node rings.
 
     Both rings are sorted by angle with the same origin; triangles come out
-    counterclockwise. Produces len(inner) + len(outer) triangles.
+    counterclockwise as an (len(inner) + len(outer), 3) array. Walking
+    around the band, each step advances the ring whose next node (the
+    first one again, a turn later, at the end) comes first in angle, the
+    inner ring on ties.
     """
+    inner_ids = np.asarray(inner_ids)
+    outer_ids = np.asarray(outer_ids)
     na, nb = len(inner_ids), len(outer_ids)
     two_pi = 2.0 * math.pi
-
-    def ang(arr, k):
-        return arr[k % len(arr)] + two_pi * (k // len(arr))
-
-    tris = []
-    i = j = 0
-    while i < na or j < nb:
-        if i < na and (j >= nb or ang(inner_ang, i + 1) <= ang(outer_ang, j + 1)):
-            tris.append((inner_ids[i % na], outer_ids[j % nb],
-                         inner_ids[(i + 1) % na]))
-            i += 1
-        else:
-            tris.append((inner_ids[i % na], outer_ids[j % nb],
-                         outer_ids[(j + 1) % nb]))
-            j += 1
-    return tris
+    nxt = np.concatenate([inner_ang[1:], [inner_ang[0] + two_pi],
+                          outer_ang[1:], [outer_ang[0] + two_pi]])
+    advance_inner = np.argsort(nxt, kind="stable") < na
+    # nodes of each ring passed before every step
+    i = np.cumsum(advance_inner) - advance_inner
+    j = np.cumsum(~advance_inner) - ~advance_inner
+    third = np.where(advance_inner, inner_ids[(i + 1) % na],
+                     outer_ids[(j + 1) % nb])
+    return np.column_stack([inner_ids[i % na], outer_ids[j % nb], third])
 
 
 def _ring_counts(radii, h, base=6, multiple_of=1):
@@ -507,22 +513,28 @@ def _ring_mesh(radii, counts, point_of, h, h_boundary, layer_width,
     if with_center:
         nodes.append(point_of(0.0, 0.0))
     for r, m in zip(radii, counts):
-        base = len(nodes)
         ang = 2.0 * math.pi * np.arange(m) / m
-        ring_ids.append(list(range(base, base + m)))
+        ring_ids.append(np.arange(len(nodes), len(nodes) + m))
         ring_angles.append(ang)
         for th in ang:
             nodes.append(point_of(r, th))
+    return Mesh(np.array(nodes), _ring_triangles(ring_ids, ring_angles,
+                                                 with_center),
+                h, h_boundary, layer_width)
+
+
+def _ring_triangles(ring_ids, ring_angles, with_center):
+    """Triangles of concentric rings: a fan from node 0 to the first ring
+    if ``with_center``, then every band between successive rings."""
     tris = []
     if with_center:
         ids0 = ring_ids[0]
-        m = len(ids0)
-        for k in range(m):
-            tris.append((0, ids0[k], ids0[(k + 1) % m]))
-    for band in range(len(radii) - 1):
-        tris.extend(_zip_band(ring_ids[band], ring_angles[band],
+        tris.append(np.column_stack([np.zeros_like(ids0), ids0,
+                                     np.roll(ids0, -1)]))
+    for band in range(len(ring_ids) - 1):
+        tris.append(_zip_band(ring_ids[band], ring_angles[band],
                               ring_ids[band + 1], ring_angles[band + 1]))
-    return Mesh(np.array(nodes), np.array(tris), h, h_boundary, layer_width)
+    return np.concatenate(tris)
 
 
 def _disk_mesh(radius, h, layer_width, node_cap):

@@ -38,7 +38,10 @@ class OptimizeResult:
     ``s_mu`` is the maximized principal eigenvalue; ``sigma_mu`` the unique
     optimal boundary parameter; ``u_mu`` the associated minimizer, equal to
     one at every boundary node. ``independent_lambda`` re-derives the
-    eigenvalue through the Robin eigensolver as a cross-check.
+    eigenvalue through the Robin eigensolver as a cross-check. u_mu is the
+    discrete ground state for sigma_mu at s_mu (to rounding), so the
+    solver, warm-started from it, only checks its residual, normalization
+    and sign and factorizes nothing.
     """
 
     mu: float

@@ -120,8 +120,10 @@ def _layer_for_mu(domain, mu, h=0.02):
         curv = m.curvature_integral / 2.0
     else:
         curv = oracles.corner_sum(m.corner_angles)
-    s_est = ((abs(mu) + max(0.0, curv)) / m.perimeter) ** 2 + 1.0
-    layer = 0.75 / math.sqrt(s_est)
+    # sqrt(s_est) ~ (|mu| + curv) / perimeter; past 1e100 the width is far
+    # below the clamp anyway, and capping there keeps the square finite
+    root = min((abs(mu) + max(0.0, curv)) / m.perimeter, 1e100)
+    layer = 0.75 / math.sqrt(root**2 + 1.0)
     return max(layer, 4.0 * h * 2.0**-12 * (1.0 + 1e-9))
 
 
@@ -391,20 +393,11 @@ def _blowup_mesh(domain, n_max, h=0.1):
         nodes = [(0.0, 0.0)]
         ring_ids = []
         for r in radii:
-            base = len(nodes)
-            ring_ids.append(list(range(base, base + len(angles))))
+            ring_ids.append(np.arange(len(nodes), len(nodes) + len(angles)))
             nodes.extend((r * math.cos(a), r * math.sin(a)) for a in angles)
-        tris = []
-        ids0 = ring_ids[0]
-        mm = len(ids0)
-        for k in range(mm):
-            tris.append((0, ids0[k], ids0[(k + 1) % mm]))
-        for b in range(len(radii) - 1):
-            tris.extend(geometry._zip_band(
-                ring_ids[b], angles + math.pi, ring_ids[b + 1],
-                angles + math.pi,
-            ))
-        mesh = geometry.Mesh(np.array(nodes), np.array(tris), h, None, w)
+        tris = geometry._ring_triangles(
+            ring_ids, [angles + math.pi] * len(radii), True)
+        mesh = geometry.Mesh(np.array(nodes), tris, h, None, w)
         return mesh, np.array([radius, 0.0])
     if domain.kind == "rectangle":
         a, b = domain.params

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import robinopt
-from robinopt import Domain, generate_mesh
+from robinopt import Domain, fem, generate_mesh, optimizer
 from robinopt.cli import main
 
 
@@ -54,6 +54,31 @@ def test_optimize_resolution_cap_is_clean_error(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("mu,reason", [
+    ("-1e300", "resolution cap"),
+    ("1e300", "Dirichlet ground energy"),
+])
+def test_optimize_huge_mu_is_clean_error(capsys, mu, reason):
+    # the boundary-layer rule squares mu / perimeter; it must not overflow
+    code, out, err = run(capsys, "optimize", "--mu", mu, "--domain",
+                         "disk:1", "--h", "0.1")
+    assert code == 1
+    assert err.startswith("error:") and reason in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_unforeseen_exception_is_clean_error(monkeypatch, capsys):
+    def broken(mesh, mu, tol=None):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(optimizer, "optimize", broken)
+    code, out, err = run(capsys, "optimize", "--mu", "-1", "--h", "0.1")
+    assert code == 1
+    assert err == "error: ZeroDivisionError: float division by zero\n"
+    assert out == ""
+
+
 def test_optimize_dump_sigma(tmp_path, capsys):
     path = tmp_path / "sigma.csv"
     code, _, _ = run(capsys, "optimize", "--domain", "disk:1", "--mu", "-6",
@@ -82,6 +107,34 @@ def test_sweep_csv(capsys):
     assert max(remainders) < 4.0
     # wall-clock column stays empty by default
     assert all(l.endswith(",") for l in lines[1:])
+
+
+def test_sweep_eigen_cross_check_factorizes_nothing(monkeypatch, capsys):
+    # each point's u_mu is already the ground state of its sigma_mu, so the
+    # cross-check only confirms it
+    in_eigen = []
+    lus_in_eigen = []
+    splu, eigen = fem.splu, fem.robin_principal_eigenvalue
+
+    def counting_splu(*args, **kwargs):
+        if in_eigen:
+            lus_in_eigen.append(1)
+        return splu(*args, **kwargs)
+
+    def marked_eigen(*args, **kwargs):
+        in_eigen.append(1)
+        try:
+            return eigen(*args, **kwargs)
+        finally:
+            in_eigen.pop()
+
+    monkeypatch.setattr(fem, "splu", counting_splu)
+    monkeypatch.setattr(fem, "robin_principal_eigenvalue", marked_eigen)
+    code, out, _ = run(capsys, "sweep", "--domain", "disk:1", "--h", "0.1",
+                       "--mu-from", "-10", "--mu-to", "4", "--mu-count", "8")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 9
+    assert lus_in_eigen == []
 
 
 def test_sweep_partial_grid_exit_3(capsys):
@@ -249,8 +302,13 @@ _SQUARE_MESH = ("5 4 4\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n"
     # the same square split into two triangles: every node on the boundary
     (_SQUARE_MESH[:_SQUARE_MESH.index("0 1\n")],
      "4 2 4\n0 0\n1 0\n1 1\n0 1\n0 1 2\n0 2 3\n"),
+    # boundary edge 3-0 declared as the diagonal 3-1
+    ("2 3\n3 0\n", "2 3\n3 1\n"),
+    # boundary edge 3-0 dropped, with its count
+    (_SQUARE_MESH, _SQUARE_MESH.replace("5 4 4", "5 4 3")[:-len("3 0\n")]),
 ], ids=["non-integer header", "index >= N", "negative index",
-        "NaN coordinate", "no interior node"])
+        "NaN coordinate", "no interior node", "wrong boundary edge",
+        "dropped boundary edge"])
 def test_malformed_mesh_file_is_clean_error(tmp_path, capsys, good, bad):
     assert good in _SQUARE_MESH
     path = tmp_path / "bad.mesh"

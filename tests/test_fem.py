@@ -258,6 +258,60 @@ def test_robin_eigen_warm_start_one_factorization(monkeypatch,
     assert len(lus) == 1
 
 
+def _counting_splu(monkeypatch):
+    lus = []
+    original = fem.splu
+
+    def counting_splu(*args, **kwargs):
+        lus.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "splu", counting_splu)
+    return lus
+
+
+@pytest.mark.parametrize("mu", [-8.0, 0.0, 4.0])
+def test_robin_eigen_converged_warm_start_needs_no_factorization(
+        monkeypatch, disk_mesh_coarse, mu):
+    # u_mu = s U_s + 1 is the ground state for sigma_mu at s_mu, to rounding
+    mesh = disk_mesh_coarse
+    res = optimize(mesh, mu)
+    M = assemble(mesh).M
+    lus = _counting_splu(monkeypatch)
+    out = robin_principal_eigenvalue(mesh, res.sigma_mu,
+                                     v0=res.u_mu.values)
+    v = out.eigenfunction.values
+    assert len(lus) == 0
+    assert out.iterations == 0
+    assert abs(out.eigenvalue - res.s_mu) <= 1e-12 * (1.0 + abs(res.s_mu))
+    assert out.residual_norm <= 1e-8
+    assert v @ (M @ v) == pytest.approx(1.0, abs=1e-12)
+    assert v.min() > 0.0
+    # a cold start at sigma = 0 begins on the eigenvector 1: K 1 = 0
+    cold = robin_principal_eigenvalue(mesh,
+                                      BoundaryFunction.constant(mesh, 0.0))
+    assert len(lus) == 0 and cold.iterations == 0
+    assert abs(cold.eigenvalue) <= 1e-12
+
+
+def test_robin_eigen_converged_higher_mode_is_rejected(disk_mesh_coarse,
+                                                       eigen_cases):
+    # a start that is already an eigenvector, but of the second mode, passes
+    # the residual test at once; its sign change must send it to Lanczos
+    mesh = disk_mesh_coarse
+    _, cases = eigen_cases
+    asm = assemble(mesh)
+    K, M = asm.K.toarray(), asm.M.toarray()
+    for name in ("constant negative", "perturbed"):
+        sigma = BoundaryFunction(mesh, cases[name])
+        A = K + asm.trace_mass(sigma).toarray()
+        vals, vecs = scipy.linalg.eigh(A, M, subset_by_index=[0, 1])
+        out = robin_principal_eigenvalue(mesh, sigma, v0=vecs[:, 1])
+        assert abs(out.eigenvalue - vals[0]) <= 1e-9 * abs(vals[0]), name
+        v = out.eigenfunction.values
+        assert v.min() >= -1e-6 * v.max(), name
+
+
 @pytest.mark.parametrize("domain", [Domain.disk(1.0), Domain.lshape(),
                                     Domain.rectangle(1.0, 1.0)],
                          ids=["disk", "lshape", "square"])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from robinopt import Domain, GeometryError, Mesh, MeshResourceError
+from robinopt import Domain, GeometryError, Mesh, MeshResourceError, geometry
 from robinopt import generate_mesh, metrics, parse_domain
 
 
@@ -227,3 +227,120 @@ def test_parse_domain():
     for spec in ("disk:abc", "square"):
         with pytest.raises(GeometryError):
             parse_domain(spec)
+
+
+# --- the dict- and loop-based topology the numpy code replaced, as oracles --
+
+def _oracle_extract_boundary(nodes, triangles):
+    edge_count = {}
+    edge_oriented = {}
+    for i, j, k in triangles.tolist():
+        for a, b in ((i, j), (j, k), (k, i)):
+            key = (min(a, b), max(a, b))
+            edge_count[key] = edge_count.get(key, 0) + 1
+            edge_oriented[key] = (a, b)
+    edges = []
+    for key in sorted(edge_count):
+        c = edge_count[key]
+        if c == 1:
+            edges.append(edge_oriented[key])
+        elif c > 2:
+            raise GeometryError(
+                f"edge {key} shared by {c} triangles; mesh is not a manifold"
+            )
+    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    weights = np.linalg.norm(nodes[edges[:, 1]] - nodes[edges[:, 0]], axis=1)
+    return edges, weights
+
+
+def _oracle_boundary_height(mesh, edges, weights):
+    edge_to_tri = {}
+    for ti, (i, j, k) in enumerate(mesh.triangles.tolist()):
+        for a, b in ((i, j), (j, k), (k, i)):
+            edge_to_tri[(min(a, b), max(a, b))] = ti
+    areas = mesh.triangle_areas()
+    worst = 0.0
+    for (a, b), w in zip(edges.tolist(), weights):
+        worst = max(worst, 2.0 * areas[edge_to_tri[(min(a, b), max(a, b))]] / w)
+    return worst if worst > 0 else mesh.h_interior
+
+
+def _oracle_zip_band(inner_ids, inner_ang, outer_ids, outer_ang):
+    na, nb = len(inner_ids), len(outer_ids)
+    two_pi = 2.0 * math.pi
+
+    def ang(arr, k):
+        return arr[k % len(arr)] + two_pi * (k // len(arr))
+
+    tris = []
+    i = j = 0
+    while i < na or j < nb:
+        if i < na and (j >= nb or ang(inner_ang, i + 1) <= ang(outer_ang, j + 1)):
+            tris.append((inner_ids[i % na], outer_ids[j % nb],
+                         inner_ids[(i + 1) % na]))
+            i += 1
+        else:
+            tris.append((inner_ids[i % na], outer_ids[j % nb],
+                         outer_ids[(j + 1) % nb]))
+            j += 1
+    return tris
+
+
+def _assert_topology_matches_oracle(mesh, label):
+    edges, weights = _oracle_extract_boundary(mesh.nodes, mesh.triangles)
+    assert np.array_equal(mesh.boundary_edges, edges), label
+    assert mesh.boundary_edges.dtype == edges.dtype, label
+    assert mesh.boundary_weights.tobytes() == weights.tobytes(), label
+    assert np.array_equal(mesh.boundary_nodes, np.unique(edges)), label
+    measured = Mesh(mesh.nodes, mesh.triangles, mesh.h_interior)
+    assert measured.h_boundary == _oracle_boundary_height(mesh, edges,
+                                                          weights), label
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05])
+@pytest.mark.parametrize("layer", [0.0, 0.05], ids=["ungraded", "graded"])
+def test_mesh_topology_matches_loop_oracle(monkeypatch, catalogue, h, layer):
+    for name, dom in catalogue.items():
+        mesh = generate_mesh(dom, h, boundary_layer_width=layer)
+        _assert_topology_matches_oracle(mesh, name)
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry, "_zip_band", _oracle_zip_band)
+            looped = generate_mesh(dom, h, boundary_layer_width=layer)
+        assert np.array_equal(mesh.triangles, looped.triangles), name
+        assert mesh.h_boundary == looped.h_boundary, name
+
+
+def test_loaded_mesh_topology_matches_loop_oracle(tmp_path):
+    mesh = generate_mesh(Domain.annulus(2.0, 1.0), 0.1,
+                         boundary_layer_width=0.05)
+    mesh.save(tmp_path / "annulus.mesh")
+    _assert_topology_matches_oracle(Mesh.load(tmp_path / "annulus.mesh"),
+                                    "loaded")
+
+
+@pytest.mark.parametrize("na,nb", [(12, 12), (7, 12), (12, 7), (6, 12),
+                                   (1, 5)],
+                         ids=["equal", "coprime", "coprime outer fewer",
+                              "tied", "one inner"])
+def test_zip_band_matches_loop_oracle(na, nb):
+    inner_ang = 2.0 * math.pi * np.arange(na) / na
+    outer_ang = 2.0 * math.pi * np.arange(nb) / nb
+    inner_ids = list(range(na))
+    outer_ids = list(range(na, na + nb))
+    tris = geometry._zip_band(inner_ids, inner_ang, outer_ids, outer_ang)
+    expected = _oracle_zip_band(inner_ids, inner_ang, outer_ids, outer_ang)
+    assert tris.tolist() == [list(t) for t in expected]
+    assert len(tris) == na + nb
+
+
+def test_non_manifold_mesh_error_matches_loop_oracle():
+    # three triangles on the edge 0-1
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0],
+                      [0.5, 2.0]])
+    tris = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+    with pytest.raises(GeometryError) as oracle:
+        _oracle_extract_boundary(nodes, tris)
+    with pytest.raises(GeometryError) as built:
+        Mesh(nodes, tris, 1.0)
+    assert str(built.value) == str(oracle.value)
+    assert "edge (0, 1) shared by 3 triangles" in str(built.value)
