@@ -258,7 +258,13 @@ def test_robin_eigen_warm_start_one_factorization(monkeypatch,
     assert len(lus) == 1
 
 
-def _counting_splu(monkeypatch):
+@pytest.mark.parametrize("mu", [-8.0, 0.0, 4.0])
+def test_robin_eigen_converged_warm_start_needs_no_factorization(
+        monkeypatch, disk_mesh_coarse, mu):
+    # u_mu = s U_s + 1 is the ground state for sigma_mu at s_mu, to rounding
+    mesh = disk_mesh_coarse
+    res = optimize(mesh, mu)
+    M = assemble(mesh).M
     lus = []
     original = fem.splu
 
@@ -267,17 +273,6 @@ def _counting_splu(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(fem, "splu", counting_splu)
-    return lus
-
-
-@pytest.mark.parametrize("mu", [-8.0, 0.0, 4.0])
-def test_robin_eigen_converged_warm_start_needs_no_factorization(
-        monkeypatch, disk_mesh_coarse, mu):
-    # u_mu = s U_s + 1 is the ground state for sigma_mu at s_mu, to rounding
-    mesh = disk_mesh_coarse
-    res = optimize(mesh, mu)
-    M = assemble(mesh).M
-    lus = _counting_splu(monkeypatch)
     out = robin_principal_eigenvalue(mesh, res.sigma_mu,
                                      v0=res.u_mu.values)
     v = out.eigenfunction.values
