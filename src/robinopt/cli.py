@@ -362,7 +362,10 @@ def main(argv=None):
     except (RobinoptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # an unforeseen failure is still an input error
+    except Exception as exc:
+        # A program fault, not bad input: report it in one line rather
+        # than a traceback, naming its type so that it can be told apart
+        # from a RobinoptError.
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -524,8 +524,8 @@ def _inverse_iteration(A, M, shift, v, tol):
         norm = math.sqrt(v @ Mv)
         if not math.isfinite(norm) or norm == 0.0:
             raise SolverError("inverse iteration produced a bad vector")
-        v = v / norm
-        Mv = Mv / norm
+        v /= norm
+        Mv /= norm
         Av = A @ v
         rho = float(v @ Av)
         resid = float(np.linalg.norm(Av - rho * Mv))

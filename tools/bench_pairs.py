@@ -1,15 +1,14 @@
 """Paired benchmark runs of a parent revision against the working tree.
 
-    python3 tools/bench_pairs.py --parent REV --out BENCH_<n>.json \
-        [--pairs sweep=10,optimality=4,heat=4] [--seeds 1,2,3,4]
+    python3 tools/bench_pairs.py --parent REV --out BENCH_<n>.json
 
 The parent revision is exported with ``git archive`` into a temporary
 directory. For each workload, pair k runs ``perfbench/run.py`` once in that
-export and once in this tree, on the k-th seed of ``--seeds`` (cycling), at
-the ``run_seconds`` that ``BENCHMARK.json`` fixes; which side runs first
-alternates from pair to pair. After the pairs, one traced run on seed 1 per
-side gives the per-layer counts. Both sides use the benchmark files of their
-own checkout.
+export and once in this tree, on seed ``SEEDS[k]``, at the ``run_seconds``
+that ``BENCHMARK.json`` fixes; which side runs first alternates from pair to
+pair. ``PAIRS`` fixes the number of pairs per workload. After the pairs,
+one traced run on seed 1 per side gives the per-layer counts. Both sides use
+the benchmark files of their own checkout.
 
 The JSON written to ``--out`` holds the host, both commits, every run, each
 side's median and quartiles per end-to-end metric, how many pairs the tree
@@ -31,6 +30,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = {"sweep": 10, "optimality": 4, "heat": 4}
+SEEDS = range(1, 11)
 
 
 def _git(*args):
@@ -94,33 +95,15 @@ def _summary(pairs, metrics):
     return out
 
 
-def _parse_pairs(text):
-    pairs = {}
-    for item in text.split(","):
-        name, _, count = item.partition("=")
-        pairs[name.strip()] = int(count)
-    return pairs
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True,
                         help="git revision to compare the tree against")
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--pairs", type=_parse_pairs,
-                        default=_parse_pairs("sweep=10,optimality=4,heat=4"),
-                        help="pairs per workload, as name=count,...")
-    parser.add_argument("--seeds", default="1,2,3,4",
-                        help="seeds of successive pairs, cycled")
     args = parser.parse_args()
-    seeds = [int(s) for s in args.seeds.split(",")]
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     metrics = [m["name"] for m in bench["end_to_end"]]
-    known = {w["name"] for w in bench["workloads"]}
-    unknown = set(args.pairs) - known
-    if unknown:
-        parser.error(f"unknown workloads {sorted(unknown)}")
 
     report = {
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(
@@ -136,16 +119,16 @@ def main():
                                             "src", "perfbench")),
         },
         "run_seconds": seconds,
-        "seeds": seeds,
+        "seeds": list(SEEDS),
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
         parent = _export(args.parent, tmp)
         sides = {"parent": parent, "change": ROOT}
-        for workload, count in args.pairs.items():
+        for workload, count in PAIRS.items():
             pairs = []
             for k in range(count):
-                seed = seeds[k % len(seeds)]
+                seed = SEEDS[k]
                 order = ("parent", "change") if k % 2 == 0 else ("change",
                                                                  "parent")
                 pair = {"first": order[0]}
