@@ -24,6 +24,9 @@ _MAX_GRADING_LEVELS = 12
 _DEFAULT_NODE_CAP = 500_000
 # domain lengths whose squares and cubes stay far inside the float range
 _MIN_LENGTH, _MAX_LENGTH = 1e-6, 1e6
+# most sides of a regular polygon; its metrics list every corner, and a
+# 5000-gon at h = 0.1 already takes seconds to optimize
+_MAX_SIDES = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -57,9 +60,13 @@ class Domain:
 
     @classmethod
     def regular_polygon(cls, n, circumradius):
-        if int(n) != n or n < 3:
-            raise GeometryError("regular polygon needs an integer n >= 3")
-        return cls("ngon", (int(n), _length("circumradius", circumradius)))
+        sides = float(n)
+        if not (sides.is_integer() and 3 <= sides <= _MAX_SIDES):
+            raise GeometryError(
+                f"regular polygon side count n must be an integer in "
+                f"[3, {_MAX_SIDES}], got {n!r}"
+            )
+        return cls("ngon", (int(sides), _length("circumradius", circumradius)))
 
     @classmethod
     def lshape(cls, a=1.0, b=1.0):
@@ -904,9 +911,10 @@ def parse_domain(spec):
         raise GeometryError(f"cannot parse domain spec {spec!r}")
     kind, _, rest = spec.partition(":")
     try:
-        params = [float(p) for p in rest.split(",") if p]
+        params = [float(p) for p in rest.split(",")]
     except ValueError:
-        raise GeometryError(f"non-numeric parameter in domain spec {spec!r}")
+        raise GeometryError(
+            f"empty or non-numeric parameter in domain spec {spec!r}")
     if kind == "disk" and len(params) == 1:
         return Domain.disk(params[0])
     if kind == "annulus" and len(params) == 2:
@@ -914,7 +922,7 @@ def parse_domain(spec):
     if kind == "rect" and len(params) == 2:
         return Domain.rectangle(params[0], params[1])
     if kind == "ngon" and len(params) == 2:
-        return Domain.regular_polygon(int(params[0]), params[1])
+        return Domain.regular_polygon(params[0], params[1])
     if kind == "lshape" and len(params) == 2:
         return Domain.lshape(params[0], params[1])
     raise GeometryError(f"cannot parse domain spec {spec!r}")

@@ -6,9 +6,11 @@ that root is the maximized principal eigenvalue, the optimal boundary
 parameter is -s times the variational normal flux of U_s, and the
 associated minimizer is s U_s + 1 (equal to one on the boundary by
 construction). The root is placed on the mesh's rational Krylov model of
-int U_s (``fem.resolvent_model``, built once per mesh), so one exact
-resolvent solve usually confirms it. All quantities here use mesh-derived
-area and perimeter so the discrete identities hold exactly.
+int U_s (``fem.resolvent_model``, built once per mesh), and one resolvent
+solve confirms it: the model's own Galerkin solution, certified by its
+residual, so no further factorization, or a direct solve where the
+certificate fails. All quantities here use mesh-derived area and perimeter
+so the discrete identities hold exactly.
 """
 
 from dataclasses import dataclass
@@ -18,8 +20,6 @@ import numpy as np
 from . import fem
 from .errors import ResolutionCapError, SolverError, SpectralRangeError
 
-# largest sqrt(|s|) * h_boundary the boundary layer tolerates
-_LAYER_RESOLUTION = 0.2
 # closest relative approach of a mu > 0 root to the Dirichlet ground energy;
 # closer in, the resolvent system is so nearly singular that its direct
 # solve misses the residual gate of fem._solve_spd
@@ -79,10 +79,6 @@ def eval_F_prime(mesh, s):
     return float(w @ (asm.M @ w))
 
 
-def _s_cap(mesh):
-    return (_LAYER_RESOLUTION / mesh.h_boundary) ** 2
-
-
 def _newton(F, F_prime, mu, lo, hi, s, edge, tol):
     """Safeguarded Newton iteration for F(s) = mu on [lo, hi], from s.
 
@@ -116,15 +112,17 @@ def _newton(F, F_prime, mu, lo, hi, s, edge, tol):
 def solve_s_of_mu(mesh, mu, tol=None):
     """Unique root of F(s) = mu, placed on a model and polished exactly.
 
-    The root is first found on the mesh's rational Krylov model
-    F~(s) = s^2 G~(s) + s |Omega| of F (see ``fem.resolvent_model``; poles 0
-    and s_cap), to a hundredth of the tolerance, inside [s_cap, 0] for
-    mu < 0, with s_cap the boundary-layer resolution cap, or
-    [0, E1 (1 - 1e-4)] for mu > 0, with E1 the Dirichlet ground energy.
-    One exact F at that point usually meets the tolerance; otherwise
-    safeguarded Newton steps on the exact F follow. An end of the range is
-    only reported as an error once the exact F there confirms that the root
-    lies beyond it.
+    The mesh's rational Krylov model F~(s) = s^2 G~(s) + s |Omega| of F
+    (see ``fem.resolvent_model``; poles 0 and -s_cap) is built first; it
+    also gives E1, the Dirichlet ground energy. The root is found on the
+    model to a hundredth of the tolerance, inside [-s_cap, 0] for mu < 0,
+    with s_cap the boundary-layer resolution cap, or [0, E1 (1 - 1e-4)] for
+    mu > 0. One exact F at that point usually meets the tolerance;
+    otherwise safeguarded Newton steps on the exact F follow. "Exact" is
+    ``fem.solve_resolvent``: the model's Galerkin solution where its residual
+    is at most 1e-12 ||M 1||, so F equals F~ there to rounding, and a direct
+    solve elsewhere. An end of the range is only reported as an error once
+    the exact F there confirms that the root lies beyond it.
 
     Returns (s, iterations), counting the exact evaluations of F.
 
@@ -143,14 +141,14 @@ def solve_s_of_mu(mesh, mu, tol=None):
         raise SolverError("tolerance must be positive")
     if mu == 0.0:
         return 0.0, 0
+    model = fem.resolvent_model(mesh)
     if mu < 0:
-        lo = edge = -_s_cap(mesh)
+        lo = edge = -fem._s_cap(mesh)
         hi = 0.0
     else:
-        e1 = fem.estimate_dirichlet_e1(mesh)
+        e1 = model.e1
         lo = 0.0
         hi = edge = e1 * (1.0 - _E1_MARGIN)
-    model = fem.resolvent_model(mesh, (0.0, -_s_cap(mesh)))
     area = float(fem.assemble(mesh).mass_times_one.sum())
 
     def F_model(s):

@@ -298,7 +298,7 @@ def _small_mu_cases(domain, mu_grid, h, report):
 
 def _check_grid_admissible(domain, mu_grid, h):
     mesh = mesh_for(domain, min(mu_grid), h)
-    cap = (0.2 / mesh.h_boundary) ** 2
+    cap = fem._s_cap(mesh)
     m = geometry.metrics(domain)
     curv = oracles.corner_sum(m.corner_angles)
     bad = [mu for mu in mu_grid

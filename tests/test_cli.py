@@ -137,6 +137,25 @@ def test_sweep_eigen_cross_check_factorizes_nothing(monkeypatch, capsys):
     assert lus_in_eigen == []
 
 
+def test_sweep_factorizes_twice_per_mesh(monkeypatch, capsys):
+    # the two poles of the mesh's resolvent model; every root's resolvent
+    # solve is the model's certified Galerkin solution, and E1 comes with
+    # the model
+    calls = []
+    splu = fem.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "splu", counting_splu)
+    code, out, _ = run(capsys, "sweep", "--domain", "disk:1", "--h", "0.1",
+                       "--mu-from", "-20", "--mu-to", "8", "--mu-count", "8")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 9
+    assert len(calls) == 2
+
+
 def test_sweep_partial_grid_exit_3(capsys):
     code, out, err = run(capsys, "sweep", "--domain", "disk:1",
                          "--mu-from", "-1e6", "--mu-to", "-5",
@@ -284,6 +303,23 @@ def test_non_finite_option_is_clean_error(capsys, argv):
     assert code == 1
     expected = ("not a finite number" if "--domain" not in argv
                 else "must be a finite positive length")
+    assert "error:" in err and expected in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("spec,expected", [
+    ("ngon:1e9,1", "side count n"),
+    ("ngon:inf,1", "side count n"),
+    ("ngon:nan,1", "side count n"),
+    ("ngon:3.7,1", "side count n"),
+    ("disk:,1", "empty or non-numeric"),
+    ("rect:1,,1", "empty or non-numeric"),
+])
+def test_malformed_domain_spec_is_clean_error(capsys, spec, expected):
+    code, out, err = run(capsys, "optimize", "--mu", "-1", "--domain", spec,
+                         "--h", "0.1")
+    assert code == 1
     assert "error:" in err and expected in err
     assert "Traceback" not in err
     assert out == ""

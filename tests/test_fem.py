@@ -11,6 +11,7 @@ from robinopt import (
     BoundaryFunction,
     Domain,
     GeometryError,
+    SolverError,
     SpectralRangeError,
     assemble,
     disk_robin_lambda,
@@ -321,6 +322,17 @@ def test_symmetric_factorization_matches_default_splu(domain):
             u = solve_resolvent(mesh, s).values[asm.interior]
         ref = fem.splu((asm.K_II - s * asm.M_II).tocsc()).solve(rhs)
         assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_solve_spd_refuses_unchecked_cg_answer(disk_mesh_mid):
+    # this close to E1 the direct solve misses the residual gate at its
+    # rounding floor, and conjugate gradients only reach about 1e-8
+    asm = assemble(disk_mesh_mid)
+    s = estimate_dirichlet_e1(disk_mesh_mid) * (1 - 1e-6)
+    rhs = asm.mass_times_one[asm.interior]
+    with pytest.raises(SolverError, match="residual gate") as err:
+        fem._solve_spd(asm.K_II - s * asm.M_II, rhs)
+    assert err.value.residual > 1e-10 * (1 + np.linalg.norm(rhs))
 
 
 def test_dirichlet_ground_energy(disk_mesh_mid, square_mesh_mid):

@@ -94,6 +94,12 @@ def test_domain_validation():
         ):
             with pytest.raises(GeometryError, match=name):
                 make(bad)
+    # the side count must be a finite integer in [3, 10000]: a huge count
+    # would build a tuple of that many corner angles
+    for bad in (math.nan, math.inf, -math.inf, 1e300, 1e9, 10001, 3.7, 2.0):
+        with pytest.raises(GeometryError, match="side count n"):
+            Domain.regular_polygon(bad, 1.0)
+    assert Domain.regular_polygon(10000.0, 1.0).params == (10000, 1.0)
     for bad in (math.nan, math.inf, -math.inf, 1e300):
         with pytest.raises(GeometryError, match="vertex"):
             Domain.polygon([(0, 0), (bad, 0), (0, 1)])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from robinopt import (
     solve_s_of_mu,
 )
 from robinopt import fem, optimizer, verify
+from robinopt.errors import BoundaryLayerWarning
 
 # double Fourier series oracle for the unit-square torsion integral
 S_SQUARE = 0.035144253311624234
@@ -81,8 +83,9 @@ def test_positive_mu_range_guard(disk_mesh_coarse):
 
 
 def test_positive_mu_out_of_range_is_one_exact_probe(monkeypatch):
-    # e1 and the two model poles take one factorization each; the model
-    # puts the root beyond the E1 floor, and one exact F there confirms it
+    # the two model poles take one factorization each, and E1 comes with
+    # the model; the model puts the root beyond the E1 floor, and one exact
+    # F there, too close to E1 for the model's solution, confirms it
     mesh = generate_mesh(Domain.disk(1.0), 0.05, boundary_layer_width=0.045)
     calls = {"splu": 0, "cg": 0, "eval_F": 0}
 
@@ -98,7 +101,7 @@ def test_positive_mu_out_of_range_is_one_exact_probe(monkeypatch):
                         counting("eval_F", optimizer.eval_F))
     with pytest.raises(SpectralRangeError, match="smaller mu"):
         optimize(mesh, 1e9)
-    assert calls == {"splu": 4, "cg": 0, "eval_F": 1}
+    assert calls == {"splu": 3, "cg": 0, "eval_F": 1}
 
 
 SWEEP_MUS = np.linspace(-20.0, 8.0, 8)
@@ -114,22 +117,54 @@ def sweep_meshes():
             for name, dom in domains.items()}
 
 
+def _direct_resolvent(mesh, s):
+    """Nodal values of U_s by a direct factorization made here."""
+    asm = assemble(mesh)
+    u = np.zeros(len(mesh.nodes))
+    u[asm.interior] = fem._factorize(asm.K_II - s * asm.M_II).solve(
+        asm.mass_times_one[asm.interior])
+    return u
+
+
 @pytest.mark.parametrize("name", ["disk", "lshape"])
 def test_resolvent_model_matches_exact_F(sweep_meshes, name):
     mesh = sweep_meshes[name]
-    s_cap = -optimizer._s_cap(mesh)
-    model = fem.resolvent_model(mesh, (0.0, s_cap))
-    assert fem.resolvent_model(mesh, (0.0, s_cap)) is model
+    s_cap = -fem._s_cap(mesh)
+    model = fem.resolvent_model(mesh)
+    assert fem.resolvent_model(mesh) is model
+    asm = assemble(mesh)
     area = mesh.area()
     e1 = fem.estimate_dirichlet_e1(mesh)
     shifts = np.concatenate([np.linspace(s_cap, -0.5, 6),
                              e1 * np.array([0.1, 0.5, 0.9, 0.99, 1 - 1e-4])])
     for s in shifts:
         g, dg = model(s)
-        F = eval_F(mesh, s)
+        u = _direct_resolvent(mesh, s)
+        w = 1.0 + s * u
+        F = s * s * (asm.mass_times_one @ u) + s * area
+        F_prime = float(w @ (asm.M @ w))
         assert s * s * g + s * area == pytest.approx(F, rel=1e-8, abs=0)
         assert 2 * s * g + s * s * dg + area == pytest.approx(
-            eval_F_prime(mesh, s), rel=1e-6, abs=0)
+            F_prime, rel=1e-6, abs=0)
+
+
+def test_solve_resolvent_matches_direct_solve(sweep_meshes):
+    # the model's Galerkin solution where its residual certifies it, a
+    # direct solve elsewhere: beyond the resolution cap, and next to E1
+    for name, mesh in sweep_meshes.items():
+        s_cap = fem._s_cap(mesh)
+        e1 = fem.estimate_dirichlet_e1(mesh)
+        shifts = np.concatenate([
+            np.linspace(-s_cap, 0.0, 9),
+            e1 * np.array([0.1, 0.5, 0.9, 0.99, 0.999, 1 - 1e-4]),
+            [-4 * s_cap]])
+        for s in shifts:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", BoundaryLayerWarning)
+                u = fem.solve_resolvent(mesh, s).values
+            ref = _direct_resolvent(mesh, s)
+            err = np.abs(u - ref).max() / np.abs(ref).max()
+            assert err <= 1e-10, (name, s, err)
 
 
 def test_sweep_roots_take_one_exact_solve(sweep_meshes):
