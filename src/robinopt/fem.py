@@ -364,7 +364,8 @@ def resolvent_model(mesh):
     projected on it; the eigenpairs of that small matrix give the model.
     Pole 0 comes last: while its factors are live, inverse iteration on the
     Dirichlet pencil, started from the lowest Ritz vector, gives the ground
-    energy E1 in a few steps. No factorization outlives the build.
+    energy E1, in few steps or none (that start usually meets the tolerance
+    already). No factorization outlives the build.
     """
     asm = assemble(mesh)
     if asm.model is not None:
