@@ -50,9 +50,7 @@ def _resolve_mesh(args, mu=0.0):
     if spec.startswith("mesh:"):
         return None, geometry.Mesh.load(spec[5:])
     domain = geometry.parse_domain(spec)
-    layer = verify._layer_for_mu(domain, mu, args.h)
-    return domain, geometry.generate_mesh(domain, args.h,
-                                          boundary_layer_width=layer)
+    return domain, verify.mesh_for(domain, mu, args.h)
 
 
 def _finite_float(text):
@@ -143,10 +141,7 @@ def cmd_sweep(args):
     mus = list(np.linspace(args.mu_from, args.mu_to, args.mu_count))
     if not mus:
         raise UsageError("empty sweep grid")
-    mesh = geometry.generate_mesh(
-        domain, args.h,
-        boundary_layer_width=verify._layer_for_mu(domain, min(mus), args.h),
-    )
+    mesh = verify.mesh_for(domain, min(mus), args.h)
     skipped = []
     rows = []
     for mu in mus:

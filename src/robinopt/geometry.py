@@ -2,15 +2,18 @@
 
 Domains carry exact closed-form metrics (area, perimeter, curvature
 integral, corner angles); meshes are piecewise-linear P1 triangulations
-whose boundary nodes lie exactly on the domain boundary. Disk and annulus
-are meshed with concentric rings whose angular counts grow with radius;
-regular polygons reuse the ring construction with the rings scaled onto
-shrunken copies of the polygon; rectangles and the L-shape are graded
-tensor grids; imported polygons are ear-clipped and refined.
+whose boundary nodes lie exactly on the domain boundary. Two builders make
+every catalogue mesh. ``_ring_mesh`` joins concentric node rings: the disk
+and annulus with angular counts that grow with radius, regular polygons
+with the rings scaled onto shrunken copies of the polygon. ``_tensor_mesh``
+triangulates a graded tensor grid: the rectangle, and the L-shape as one
+grid over [0, 2a] x [0, 2b] without its upper-right quadrant. Imported
+polygons are ear-clipped and refined.
 
 Boundary grading is geometric with ratio 0.5 per layer and at most 12
 layers, sized so the first layer is at most a quarter of the requested
-boundary-layer width.
+boundary-layer width. Every mesh measures its own ``h_boundary``, the
+largest normal height of a boundary-edge triangle.
 """
 
 import math
@@ -60,7 +63,7 @@ class Domain:
 
     @classmethod
     def regular_polygon(cls, n, circumradius):
-        sides = float(n)
+        sides = _float(n)
         if not (sides.is_integer() and 3 <= sides <= _MAX_SIDES):
             raise GeometryError(
                 f"regular polygon side count n must be an integer in "
@@ -75,7 +78,7 @@ class Domain:
 
     @classmethod
     def polygon(cls, vertices):
-        verts = tuple((float(x), float(y)) for x, y in vertices)
+        verts = tuple((_float(x), _float(y)) for x, y in vertices)
         if not all(abs(c) <= _MAX_LENGTH for v in verts for c in v):
             raise GeometryError(
                 f"polygon vertex coordinates must be finite, of magnitude "
@@ -99,9 +102,17 @@ class Domain:
         return self.kind + ":" + ",".join(f"{p:g}" for p in self.params)
 
 
+def _float(value):
+    """``float(value)``, with an int beyond the float range as infinite."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _length(name, value):
     """``value`` as a float length, or GeometryError naming ``name``."""
-    value = float(value)
+    value = _float(value)
     if not _MIN_LENGTH <= value <= _MAX_LENGTH:  # also rejects NaN
         raise GeometryError(
             f"{name} must be a finite positive length in "
@@ -225,12 +236,13 @@ class Mesh:
     boundary_edges : (B, 2) int array, oriented with the domain on the left
     boundary_weights : (B,) float array of edge lengths
     boundary_nodes : sorted int array of boundary node indices
-    h_interior, h_boundary : characteristic spacings
+    h_interior : target interior spacing
+    h_boundary : largest normal height of a boundary-edge triangle, measured
     boundary_layer_width : grading width the mesh was generated with
     """
 
-    def __init__(self, nodes, triangles, h_interior, h_boundary=None,
-                 boundary_layer_width=0.0, validate=True):
+    def __init__(self, nodes, triangles, h_interior, *,
+                 boundary_layer_width=0.0):
         self.nodes = np.ascontiguousarray(nodes, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         self.h_interior = float(h_interior)
@@ -242,11 +254,8 @@ class Mesh:
         self.boundary_edges, self.boundary_weights, edge_tris = (
             self._extract_boundary())
         self.boundary_nodes = np.unique(self.boundary_edges)
-        if h_boundary is None:
-            h_boundary = self._boundary_height(edge_tris)
-        self.h_boundary = float(h_boundary)
-        if validate:
-            self._validate()
+        self.h_boundary = self._boundary_height(edge_tris)
+        self._validate()
 
     # -- derived quantities -------------------------------------------------
 
@@ -461,6 +470,13 @@ def _graded_1d(length, h, w_left, w_right):
     return pts
 
 
+def _check_node_cap(kind, n_nodes, node_cap):
+    if n_nodes > node_cap:
+        raise MeshResourceError(
+            f"{kind} mesh needs {n_nodes} nodes, node cap is {node_cap}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # ring meshes: disk, annulus, regular polygon
 # ---------------------------------------------------------------------------
@@ -489,11 +505,13 @@ def _zip_band(inner_ids, inner_ang, outer_ids, outer_ang):
     return np.column_stack([inner_ids[i % na], outer_ids[j % nb], third])
 
 
-def _ring_counts(radii, h, base=6, multiple_of=1):
-    """Angular node count per ring, proportional to radius.
+def _ring_angles(radii, h, node_cap, base=6, multiple_of=1):
+    """Equispaced node angles from 0 per ring, the count proportional to
+    radius.
 
     Rings closer than 0.6 h (the graded zone) copy the previous count so
-    thin bands stay aligned quads.
+    thin bands stay aligned quads. The node cap is checked on the counts,
+    before any angle array is built.
     """
     counts = []
     for k, r in enumerate(radii):
@@ -503,154 +521,113 @@ def _ring_counts(radii, h, base=6, multiple_of=1):
         if counts and (r - radii[k - 1]) < 0.6 * h:
             m = counts[-1]
         counts.append(m)
-    return counts
+    _check_node_cap("ring", sum(counts), node_cap)
+    return [2.0 * math.pi * np.arange(m) / m for m in counts]
 
 
-def _ring_mesh(radii, counts, point_of, h, h_boundary, layer_width,
-               with_center, node_cap):
-    """Assemble a ring-structured mesh; ``point_of(r, theta)`` places nodes."""
-    n_nodes = (1 if with_center else 0) + sum(counts)
-    if n_nodes > node_cap:
-        raise MeshResourceError(
-            f"ring mesh needs {n_nodes} nodes, node cap is {node_cap}"
-        )
-    nodes = []
-    ring_ids = []
-    ring_angles = []
+def _polar(r, theta):
+    return r * np.cos(theta), r * np.sin(theta)
+
+
+def _ring_mesh(radii, ring_angles, place, h, layer_width, with_center,
+               node_cap):
+    """Mesh of concentric node rings, after a centre node if ``with_center``.
+
+    Ring k has radius ``radii[k]`` and the increasing angles
+    ``ring_angles[k]``, all rings measured from one origin; ``place(r,
+    theta)`` maps arrays of radii and angles to node coordinates (x, y). A
+    fan joins the centre to the first ring, and ``_zip_band`` fills every
+    band between successive rings.
+    """
+    counts = [len(ang) for ang in ring_angles]
+    _check_node_cap("ring", int(with_center) + sum(counts), node_cap)
+    ends = np.cumsum([int(with_center)] + counts)
+    ids = [np.arange(a, b) for a, b in zip(ends[:-1], ends[1:])]
+    nodes = np.column_stack(place(np.repeat(radii, counts),
+                                  np.concatenate(ring_angles)))
+    tris = [_zip_band(ids[k], ring_angles[k], ids[k + 1], ring_angles[k + 1])
+            for k in range(len(ids) - 1)]
     if with_center:
-        nodes.append(point_of(0.0, 0.0))
-    for r, m in zip(radii, counts):
-        ang = 2.0 * math.pi * np.arange(m) / m
-        ring_ids.append(np.arange(len(nodes), len(nodes) + m))
-        ring_angles.append(ang)
-        for th in ang:
-            nodes.append(point_of(r, th))
-    return Mesh(np.array(nodes), _ring_triangles(ring_ids, ring_angles,
-                                                 with_center),
-                h, h_boundary, layer_width)
-
-
-def _ring_triangles(ring_ids, ring_angles, with_center):
-    """Triangles of concentric rings: a fan from node 0 to the first ring
-    if ``with_center``, then every band between successive rings."""
-    tris = []
-    if with_center:
-        ids0 = ring_ids[0]
-        tris.append(np.column_stack([np.zeros_like(ids0), ids0,
-                                     np.roll(ids0, -1)]))
-    for band in range(len(ring_ids) - 1):
-        tris.append(_zip_band(ring_ids[band], ring_angles[band],
-                              ring_ids[band + 1], ring_angles[band + 1]))
-    return np.concatenate(tris)
+        nodes = np.vstack([np.zeros(2), nodes])
+        tris.insert(0, np.column_stack([np.zeros_like(ids[0]), ids[0],
+                                        np.roll(ids[0], -1)]))
+    return Mesh(nodes, np.concatenate(tris), h,
+                boundary_layer_width=layer_width)
 
 
 def _disk_mesh(radius, h, layer_width, node_cap):
     radii = _graded_1d(radius, h, 0.0, layer_width)[1:]
-    hb = radii[-1] - radii[-2] if len(radii) > 1 else radii[-1]
-    counts = _ring_counts(radii, h)
-    return _ring_mesh(
-        radii, counts,
-        lambda r, th: (r * math.cos(th), r * math.sin(th)),
-        h, min(h, hb), layer_width, True, node_cap,
-    )
+    return _ring_mesh(radii, _ring_angles(radii, h, node_cap), _polar, h,
+                      layer_width, True, node_cap)
 
 
 def _annulus_mesh(outer, inner, h, layer_width, node_cap):
-    pts = _graded_1d(outer - inner, h, layer_width, layer_width)
-    radii = inner + pts
-    spac = np.diff(radii)
-    hb = min(spac[0], spac[-1])
-    counts = _ring_counts(radii, h)
-    return _ring_mesh(
-        radii, counts,
-        lambda r, th: (r * math.cos(th), r * math.sin(th)),
-        h, min(h, hb), layer_width, False, node_cap,
-    )
+    radii = inner + _graded_1d(outer - inner, h, layer_width, layer_width)
+    return _ring_mesh(radii, _ring_angles(radii, h, node_cap), _polar, h,
+                      layer_width, False, node_cap)
 
 
 def _ngon_mesh(n_sides, circumradius, h, layer_width, node_cap):
     apothem = circumradius * math.cos(math.pi / n_sides)
     depth = _graded_1d(apothem, h, 0.0, layer_width)[1:]
-    hb = depth[-1] - depth[-2] if len(depth) > 1 else depth[-1]
     sector = 2.0 * math.pi / n_sides
 
-    def boundary_radius(theta):
-        # vertices sit at multiples of the sector angle, which every ring's
-        # angle set contains because counts are multiples of n_sides
-        local = (theta % sector) - sector / 2.0
-        return apothem / math.cos(local)
+    def place(d, theta):
+        # the rings are scaled copies of the boundary; vertices sit at
+        # multiples of the sector angle, which every ring's angle set
+        # contains because counts are multiples of n_sides
+        boundary_radius = apothem / np.cos((theta % sector) - sector / 2.0)
+        return _polar(d / apothem * boundary_radius, theta)
 
-    counts = _ring_counts(depth, h, base=n_sides, multiple_of=n_sides)
-
-    def point_of(d, th):
-        t = d / apothem
-        rho = t * boundary_radius(th)
-        return (rho * math.cos(th), rho * math.sin(th))
-
-    return _ring_mesh(depth, counts, point_of, h, min(h, hb), layer_width,
-                      True, node_cap)
+    angles = _ring_angles(depth, h, node_cap, base=n_sides,
+                          multiple_of=n_sides)
+    return _ring_mesh(depth, angles, place, h, layer_width, True, node_cap)
 
 
 # ---------------------------------------------------------------------------
 # tensor meshes: rectangle, L-shape
 # ---------------------------------------------------------------------------
 
-def _grid_block(xs, ys):
-    """Structured triangulation of a tensor grid; nodes as (x, y) tuples."""
+def _tensor_mesh(xs, ys, h, layer_width, node_cap, drop=None):
+    """Mesh of the tensor grid xs x ys, optionally without one quadrant.
+
+    Nodes run row by row, x fastest; the cell [x0, x1] x [y0, y1] gives the
+    triangles (00, 10, 11) and (00, 11, 01). With ``drop = (a, b)``, a and b
+    grid values, the cells whose lower-left corner has x >= a and y >= b
+    are left out, and so are the nodes with x > a and y > b, which only
+    those cells use; the kept nodes keep their order.
+    """
+    a, b = (math.inf, math.inf) if drop is None else drop
     nx, ny = len(xs), len(ys)
-    nodes = [(x, y) for j in range(ny) for x in xs for y in [ys[j]]]
-    tris = []
-    for j in range(ny - 1):
-        for i in range(nx - 1):
-            n00 = j * nx + i
-            n10 = n00 + 1
-            n01 = n00 + nx
-            n11 = n01 + 1
-            tris.append((n00, n10, n11))
-            tris.append((n00, n11, n01))
-    return nodes, tris
+    _check_node_cap("tensor",
+                    nx * ny - int(np.sum(xs > a)) * int(np.sum(ys > b)),
+                    node_cap)
+    x, y = np.meshgrid(xs, ys)
+    n00 = np.arange(nx * ny).reshape(ny, nx)[:-1, :-1]
+    n00 = n00[(x[:-1, :-1] < a) | (y[:-1, :-1] < b)]
+    tris = np.column_stack([n00, n00 + 1, n00 + nx + 1,
+                            n00, n00 + nx + 1, n00 + nx]).reshape(-1, 3)
+    kept = ((x <= a) | (y <= b)).ravel()
+    new_id = np.cumsum(kept) - 1
+    nodes = np.column_stack([x.ravel(), y.ravel()])[kept]
+    return Mesh(nodes, new_id[tris], h, boundary_layer_width=layer_width)
 
 
 def _rectangle_mesh(a, b, h, layer_width, node_cap):
-    xs = _graded_1d(a, h, layer_width, layer_width)
-    ys = _graded_1d(b, h, layer_width, layer_width)
-    if len(xs) * len(ys) > node_cap:
-        raise MeshResourceError(
-            f"rectangle mesh needs {len(xs) * len(ys)} nodes, cap {node_cap}"
-        )
-    hb = min(np.diff(xs).min(), np.diff(ys).min()) if layer_width > 0 else h
-    nodes, tris = _grid_block(xs, ys)
-    return Mesh(np.array(nodes), np.array(tris), h, min(h, hb), layer_width)
+    return _tensor_mesh(_graded_1d(a, h, layer_width, layer_width),
+                        _graded_1d(b, h, layer_width, layer_width),
+                        h, layer_width, node_cap)
 
 
 def _lshape_mesh(a, b, h, layer_width, node_cap):
-    # union of [0,a]x[0,b], [a,2a]x[0,b], [0,a]x[b,2b]; every 1D grid graded
-    # at both ends so all boundary pieces, including the re-entrant edges
-    # through (a, b), get layers
-    xs1 = _graded_1d(a, h, layer_width, layer_width)
-    xs2 = a + _graded_1d(a, h, layer_width, layer_width)
-    ys1 = _graded_1d(b, h, layer_width, layer_width)
-    ys2 = b + _graded_1d(b, h, layer_width, layer_width)
-    blocks = [(xs1, ys1), (xs2, ys1), (xs1, ys2)]
-    node_id = {}
-    nodes = []
-    tris = []
-    for xs, ys in blocks:
-        local_nodes, local_tris = _grid_block(xs, ys)
-        remap = []
-        for p in local_nodes:
-            if p not in node_id:
-                node_id[p] = len(nodes)
-                nodes.append(p)
-            remap.append(node_id[p])
-        tris.extend((remap[i], remap[j], remap[k]) for i, j, k in local_tris)
-        if len(nodes) > node_cap:
-            raise MeshResourceError(
-                f"L-shape mesh exceeded the node cap {node_cap}"
-            )
-    spacing = [np.diff(g).min() for g in (xs1, xs2, ys1, ys2)]
-    hb = min(spacing) if layer_width > 0 else h
-    return Mesh(np.array(nodes), np.array(tris), h, min(h, hb), layer_width)
+    # [0, 2a] x [0, 2b] without its upper-right quadrant; each arm's 1D grid
+    # is graded at both ends, so every boundary piece, the re-entrant edges
+    # through (a, b) included, gets layers
+    xs = _graded_1d(a, h, layer_width, layer_width)
+    ys = _graded_1d(b, h, layer_width, layer_width)
+    return _tensor_mesh(np.concatenate([xs, a + xs[1:]]),
+                        np.concatenate([ys, b + ys[1:]]),
+                        h, layer_width, node_cap, drop=(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -853,8 +830,8 @@ def _polygon_mesh(verts, h, layer_width, node_cap):
 
             nodes, tris = _longest_edge_bisection(nodes, tris, size_of,
                                                   node_cap)
-    # boundary spacing measured from the actual mesh
-    return Mesh(np.array(nodes), np.array(tris), h, None, layer_width)
+    return Mesh(np.array(nodes), np.array(tris), h,
+                boundary_layer_width=layer_width)
 
 
 # ---------------------------------------------------------------------------

@@ -189,8 +189,8 @@ def constant_sigma_bound_check(domain, sigma, lambda_measured,
     """Check lambda(const sigma) <= maximized lambda for mu = sigma |dO|.
 
     On a disk the right side comes from the exact channel; elsewhere it is
-    computed by the finite-element optimizer on ``mesh`` (generated at
-    spacing ``h`` if not supplied).
+    computed by the finite-element optimizer on ``mesh``; by default the
+    mesh ``verify.mesh_for`` grades at spacing ``h`` for mu = sigma |dO|.
     """
     if sigma >= 0:
         if sigma == 0:
@@ -201,13 +201,10 @@ def constant_sigma_bound_check(domain, sigma, lambda_measured,
     if domain.kind == "disk":
         s_mu = disk_s_of_mu(domain.params[0], mu)
     else:
-        from . import optimizer
+        from . import optimizer, verify
 
         if mesh is None:
-            layer = 0.75 / math.sqrt((abs(mu) / m.perimeter + 1.0) ** 2 + 1.0)
-            layer = max(layer, 4.0 * h * 2.0**-12 * (1.0 + 1e-9))
-            mesh = geometry.generate_mesh(domain, h,
-                                          boundary_layer_width=layer)
+            mesh = verify.mesh_for(domain, mu, h)
         s_mu = optimizer.optimize(mesh, mu).s_mu
     if tolerance is None:
         tolerance = 1e-6 * (1.0 + abs(s_mu))

@@ -390,14 +390,9 @@ def _blowup_mesh(domain, n_max, h=0.1):
         half = geometry._graded_1d(math.pi, h / radius, w / radius, 0.0)
         angles = np.concatenate([-half[:0:-1], half[:-1]])
         radii = geometry._graded_1d(radius, h, 0.0, w)[1:]
-        nodes = [(0.0, 0.0)]
-        ring_ids = []
-        for r in radii:
-            ring_ids.append(np.arange(len(nodes), len(nodes) + len(angles)))
-            nodes.extend((r * math.cos(a), r * math.sin(a)) for a in angles)
-        tris = geometry._ring_triangles(
-            ring_ids, [angles + math.pi] * len(radii), True)
-        mesh = geometry.Mesh(np.array(nodes), tris, h, None, w)
+        mesh = geometry._ring_mesh(radii, [angles] * len(radii),
+                                   geometry._polar, h, w, True,
+                                   geometry._DEFAULT_NODE_CAP)
         return mesh, np.array([radius, 0.0])
     if domain.kind == "rectangle":
         a, b = domain.params
@@ -406,8 +401,7 @@ def _blowup_mesh(domain, n_max, h=0.1):
             a / 2 + geometry._graded_1d(a / 2, h, w, 0.0)[1:],
         ])
         ys = geometry._graded_1d(b, h, w, 0.0)
-        nodes, tris = geometry._grid_block(xs, ys)
-        mesh = geometry.Mesh(np.array(nodes), np.array(tris), h, None, w)
+        mesh = geometry._tensor_mesh(xs, ys, h, w, geometry._DEFAULT_NODE_CAP)
         return mesh, np.array([a / 2, 0.0])
     raise GeometryError(
         "blow-up demo supports disk and rectangle domains"

@@ -26,6 +26,9 @@ EDGES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-300, 1e300, 1e-6, 1e6,
          3.0, 3.7, 1e4, 1e4 + 1, 1e9)
 numbers = st.one_of(st.sampled_from(EDGES), st.floats(),
                     st.floats(min_value=-1.0, max_value=2e4))
+# the factories also take Python ints, some beyond the float range
+integers = st.one_of(st.sampled_from((10**400, -10**400, 0, 3, 10**4 + 1)),
+                     st.integers())
 
 
 FACTORIES = {
@@ -51,7 +54,8 @@ def _assert_sound(domain):
 
 
 @PROPERTY
-@given(st.sampled_from(sorted(FACTORIES)), numbers, numbers)
+@given(st.sampled_from(sorted(FACTORIES)), st.one_of(numbers, integers),
+       st.one_of(numbers, integers))
 def test_factories_return_domain_or_geometry_error(name, a, b):
     try:
         domain = FACTORIES[name](a, b)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from robinopt import Domain, GeometryError, Mesh, MeshResourceError, geometry
-from robinopt import generate_mesh, metrics, parse_domain
+from robinopt import generate_mesh, metrics, parse_domain, verify
 
 
 def shoelace(verts):
@@ -81,7 +81,9 @@ def test_domain_validation():
             generate_mesh(Domain.disk(1.0), 0.1, boundary_layer_width=bad)
     # every factory names the parameter it rejects: NaN, +-inf, and lengths
     # whose powers leave the float range
-    for bad in (math.nan, math.inf, -math.inf, 1e300, 1e-300):
+    # and ints too large for a float
+    for bad in (math.nan, math.inf, -math.inf, 1e300, 1e-300, 10**400,
+                -10**400):
         for make, name in (
             (lambda x: Domain.disk(x), "disk radius"),
             (lambda x: Domain.annulus(x, 1.0), "outer radius"),
@@ -96,11 +98,12 @@ def test_domain_validation():
                 make(bad)
     # the side count must be a finite integer in [3, 10000]: a huge count
     # would build a tuple of that many corner angles
-    for bad in (math.nan, math.inf, -math.inf, 1e300, 1e9, 10001, 3.7, 2.0):
+    for bad in (math.nan, math.inf, -math.inf, 1e300, 1e9, 10001, 3.7, 2.0,
+                10**400, -10**400):
         with pytest.raises(GeometryError, match="side count n"):
             Domain.regular_polygon(bad, 1.0)
     assert Domain.regular_polygon(10000.0, 1.0).params == (10000, 1.0)
-    for bad in (math.nan, math.inf, -math.inf, 1e300):
+    for bad in (math.nan, math.inf, -math.inf, 1e300, 10**400):
         with pytest.raises(GeometryError, match="vertex"):
             Domain.polygon([(0, 0), (bad, 0), (0, 1)])
     with pytest.raises(GeometryError, match="area"):
@@ -114,6 +117,9 @@ def test_domain_validation():
         generate_mesh(Domain.rectangle(1e-6, 1.0), 0.02)
     with pytest.raises(MeshResourceError):
         generate_mesh(Domain.disk(1e6), 0.02)
+    # the cap is checked on the counts, before any node array is built
+    with pytest.raises(MeshResourceError, match="node cap"):
+        generate_mesh(Domain.lshape(1e4, 1e4), 0.02)
 
 
 def test_polygon_orientation_normalized():
@@ -350,3 +356,138 @@ def test_non_manifold_mesh_error_matches_loop_oracle():
         Mesh(nodes, tris, 1.0)
     assert str(built.value) == str(oracle.value)
     assert "edge (0, 1) shared by 3 triangles" in str(built.value)
+
+
+def test_mesh_takes_the_layer_width_by_keyword_only():
+    # the boundary height is always measured, never passed in: an old
+    # positional call (h_interior, h_boundary, layer width) fails loudly
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                      [0.5, 0.5]])
+    tris = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
+    with pytest.raises(TypeError):
+        Mesh(nodes, tris, 0.5, 0.5, 0.1)
+    with pytest.raises(TypeError):
+        Mesh(nodes, tris, 0.5, h_boundary=0.5)
+    mesh = Mesh(nodes, tris, 0.5, boundary_layer_width=0.1)
+    assert mesh.boundary_layer_width == 0.1
+    assert mesh.h_boundary == pytest.approx(0.5, rel=1e-15)
+
+
+def test_h_boundary_never_understates_the_coarsest_boundary_cell(catalogue):
+    # the largest 2 area / edge length over boundary-edge triangles is the
+    # spacing the resolution cap and the model pole compare against
+    meshes = {f"{name} layer={layer:g}": generate_mesh(
+                  dom, 0.1, boundary_layer_width=layer)
+              for name, dom in catalogue.items() for layer in (0.0, 0.05)}
+    meshes["mesh_for(lshape:0.7,1.3, -20, 0.03)"] = verify.mesh_for(
+        parse_domain("lshape:0.7,1.3"), -20.0, 0.03)
+    for label, mesh in meshes.items():
+        edges, weights = _oracle_extract_boundary(mesh.nodes, mesh.triangles)
+        assert mesh.h_boundary >= _oracle_boundary_height(
+            mesh, edges, weights), label
+
+
+# --- the loop mesh builders that the ring and tensor builders replaced ------
+
+def _oracle_grid_block(xs, ys):
+    nx, ny = len(xs), len(ys)
+    nodes = [(x, y) for j in range(ny) for x in xs for y in [ys[j]]]
+    tris = []
+    for j in range(ny - 1):
+        for i in range(nx - 1):
+            n00 = j * nx + i
+            n10 = n00 + 1
+            n01 = n00 + nx
+            n11 = n01 + 1
+            tris.append((n00, n10, n11))
+            tris.append((n00, n11, n01))
+    return nodes, tris
+
+
+def _oracle_lshape(a, b, h, layer_width):
+    xs1 = geometry._graded_1d(a, h, layer_width, layer_width)
+    xs2 = a + geometry._graded_1d(a, h, layer_width, layer_width)
+    ys1 = geometry._graded_1d(b, h, layer_width, layer_width)
+    ys2 = b + geometry._graded_1d(b, h, layer_width, layer_width)
+    node_id = {}
+    nodes = []
+    tris = []
+    for xs, ys in [(xs1, ys1), (xs2, ys1), (xs1, ys2)]:
+        local_nodes, local_tris = _oracle_grid_block(xs, ys)
+        remap = []
+        for p in local_nodes:
+            if p not in node_id:
+                node_id[p] = len(nodes)
+                nodes.append(p)
+            remap.append(node_id[p])
+        tris.extend((remap[i], remap[j], remap[k]) for i, j, k in local_tris)
+    return np.array(nodes), np.array(tris)
+
+
+def _oracle_ring_nodes(radii, ring_angles, point_of):
+    """Per-node placement, centre first, as the ring builder did it."""
+    nodes = [point_of(0.0, 0.0)]
+    for r, angles in zip(radii, ring_angles):
+        nodes.extend(point_of(r, th) for th in angles)
+    return np.array(nodes)
+
+
+@pytest.mark.parametrize("layer", [0.0, 0.05], ids=["ungraded", "graded"])
+def test_ring_and_tensor_meshes_match_loop_builders(layer):
+    h = 0.1
+
+    def polar(r, th):
+        return (r * math.cos(th), r * math.sin(th))
+
+    radii = geometry._graded_1d(1.0, h, 0.0, layer)[1:]
+    expected = _oracle_ring_nodes(
+        radii, geometry._ring_angles(radii, h, 10**6), polar)
+    mesh = generate_mesh(Domain.disk(1.0), h, boundary_layer_width=layer)
+    assert mesh.nodes.tobytes() == expected.tobytes()
+
+    apothem = 1.3 * math.cos(math.pi / 5)
+    sector = 2.0 * math.pi / 5
+
+    def ngon_point(d, th):
+        t = d / apothem
+        rho = t * (apothem / math.cos((th % sector) - sector / 2.0))
+        return (rho * math.cos(th), rho * math.sin(th))
+
+    depth = geometry._graded_1d(apothem, h, 0.0, layer)[1:]
+    expected = _oracle_ring_nodes(
+        depth, geometry._ring_angles(depth, h, 10**6, 5, 5), ngon_point)
+    mesh = generate_mesh(Domain.regular_polygon(5, 1.3), h,
+                         boundary_layer_width=layer)
+    assert mesh.nodes.tobytes() == expected.tobytes()
+
+    xs = geometry._graded_1d(1.0, h, layer, layer)
+    ys = geometry._graded_1d(2.0, h, layer, layer)
+    nodes, tris = _oracle_grid_block(xs, ys)
+    mesh = generate_mesh(Domain.rectangle(1.0, 2.0), h,
+                         boundary_layer_width=layer)
+    assert mesh.nodes.tobytes() == np.array(nodes).tobytes()
+    assert np.array_equal(mesh.triangles, tris)
+
+
+def _coordinate_triangles(nodes, tris):
+    return {tuple(nodes[t].ravel().tolist()) for t in tris}
+
+
+@pytest.mark.parametrize("spec", ["lshape", "lshape:0.7,1.3"])
+@pytest.mark.parametrize("layer", [0.0, 0.05], ids=["ungraded", "graded"])
+def test_lshape_matches_three_block_oracle(spec, layer):
+    dom = parse_domain(spec)
+    mesh = generate_mesh(dom, 0.1, boundary_layer_width=layer)
+    nodes, tris = _oracle_lshape(*dom.params, 0.1, layer)
+    assert len(mesh.nodes) == len(nodes)
+    assert len(mesh.triangles) == len(tris)
+    assert (_coordinate_triangles(mesh.nodes, mesh.triangles)
+            == _coordinate_triangles(nodes, tris))
+
+
+def test_lshape_node_cap_counts_the_kept_nodes():
+    dom = Domain.lshape()
+    kept = len(generate_mesh(dom, 0.1).nodes)
+    assert len(generate_mesh(dom, 0.1, node_cap=kept).nodes) == kept
+    with pytest.raises(MeshResourceError, match="node cap"):
+        generate_mesh(dom, 0.1, node_cap=kept - 1)
