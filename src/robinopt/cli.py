@@ -64,6 +64,23 @@ def _finite_float(text):
     return value
 
 
+# largest value of a count option (--mu-count, --t-count, --samples,
+# --grid); argparse refuses a larger one before any array is sized by it
+_COUNT_MAX = 10_000
+
+
+def _count(text):
+    """argparse type: an integer from 1 to ``_COUNT_MAX``."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if not 1 <= value <= _COUNT_MAX:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an integer from 1 to {_COUNT_MAX}")
+    return value
+
+
 def _dump_sigma(mesh, sigma, path):
     pos = {int(b): i for i, b in enumerate(mesh.boundary_nodes)}
     lines = ["arc_length,sigma"]
@@ -139,8 +156,6 @@ def cmd_sweep(args):
     domain = geometry.parse_domain(args.domain)
     pred = oracles.predict_lambda(domain)
     mus = list(np.linspace(args.mu_from, args.mu_to, args.mu_count))
-    if not mus:
-        raise UsageError("empty sweep grid")
     mesh = verify.mesh_for(domain, min(mus), args.h)
     skipped = []
     rows = []
@@ -305,7 +320,8 @@ def build_parser():
     common(p)
     p.add_argument("--mu-from", type=_finite_float, required=True)
     p.add_argument("--mu-to", type=_finite_float, required=True)
-    p.add_argument("--mu-count", type=int, default=10)
+    p.add_argument("--mu-count", type=_count, default=10,
+                   help=f"grid points, 1 to {_COUNT_MAX}")
     p.add_argument("--timing", action="store_true",
                    help="fill the wall_seconds column (non-deterministic)")
     p.set_defaults(func=cmd_sweep)
@@ -314,21 +330,24 @@ def build_parser():
     common(p)
     p.add_argument("--t-from", type=_finite_float, default=None)
     p.add_argument("--t-to", type=_finite_float, default=None)
-    p.add_argument("--t-count", type=int, default=20)
+    p.add_argument("--t-count", type=_count, default=20,
+                   help=f"output times, 1 to {_COUNT_MAX}")
     p.set_defaults(func=cmd_heat_content)
 
     p = sub.add_parser("verify", help="run a verification suite")
     common(p, mu_default=-10.0)
     p.add_argument("--suite", default="all",
                    help="optimality | asymptotic | heat | blowup | all")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_count, default=100,
+                   help=f"perturbed parameters, 1 to {_COUNT_MAX}")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("corner-coeff", help="polygon corner coefficient")
     p.add_argument("--alpha", type=_finite_float, default=None)
-    p.add_argument("--grid", type=int, default=None,
-                   help="emit a CSV over a grid of angles instead")
+    p.add_argument("--grid", type=_count, default=None,
+                   help="emit a CSV over this many angles instead, 1 to "
+                        f"{_COUNT_MAX}")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_corner_coeff)
 

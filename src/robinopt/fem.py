@@ -9,8 +9,9 @@ certifies it, and a direct solve elsewhere; recovers boundary fluxes
 variationally; computes principal Robin eigenvalues by inverse iteration at
 one shift, one factorization per solve and none when the start vector
 already meets the residual tolerance, with a Lanczos shift-invert fallback;
-and time-steps the Dirichlet heat equation for the heat content by implicit
-Euler on a dyadic step ladder, one factorization per step size.
+and time-steps the Dirichlet heat equation for the heat content by
+second-order BDF2 on a dyadic step ladder, with implicit-Euler start-up
+steps, one factorization per scheme and step size.
 
 Every sparse LU goes through ``_factorize``: SuperLU with a symmetric
 minimum-degree ordering and diagonal pivots, which suits these symmetric
@@ -558,16 +559,26 @@ def _inverse_iteration(A, M, shift, v, tol, lu=None):
 # heat content
 # ---------------------------------------------------------------------------
 
-def _heat_curve(mesh, horizon, steps_per_decade=400, t_small=None):
-    """Implicit-Euler heat-content curve on a dyadic step ladder.
+def _heat_curve(mesh, horizon, steps_per_decade=100, t_small=None):
+    """BDF2 heat-content curve on a dyadic step ladder.
 
     With m = ``steps_per_decade`` steps per decade between ``t_small`` and
     the horizon T, and dt0 = T / m^2, every step is dt0 * 2^j: the local
     spacing 2 sqrt(t T) / m of the quadratic grid T (k/m)^2, rounded down
     to a power-of-two multiple of dt0; the last step is cut to end at T.
     Every time is a whole multiple of dt0, so the curve ends exactly at the
-    horizon. The rungs only grow, so there is one factorization per step
-    size, and only one is live at a time. Memoized per assembly.
+    horizon.
+
+    A step of size dt from tick k solves the constant-step BDF2 system
+    (3/2 M + dt K) v_n = M (2 v_{n-1} - v_{n-2} / 2), with v_{n-2} the
+    state at tick k - dt: after a rung change, where the step doubles, that
+    is the state two fine steps back. Where no state sits there (the first
+    steps and a cut last step) the step is implicit Euler,
+    (M + dt K) v_n = M v_{n-1}. M v of the last three states is kept, so a
+    step costs one triangular solve and one mass product. There is one
+    factorization per (scheme, step size), one more than the step sizes
+    (the start-up Euler step at 2 dt0), and only one is live at a time.
+    Memoized per assembly.
     """
     asm = assemble(mesh)
     key = (float(horizon), float(t_small or 0.0), steps_per_decade)
@@ -584,36 +595,45 @@ def _heat_curve(mesh, horizon, steps_per_decade=400, t_small=None):
     m1 = asm.mass_times_one[asm.interior]
     ticks = [0]  # times in units of dt0
     q = [float(asm.mass_times_one.sum())]  # Q(0) = mesh area
-    v = m1  # rhs of the first step projects the full 1
+    # (tick, M v) of the last three states; M v(0) = m1 projects the full 1
+    recent = [(0, m1)]
     lu = None
-    rung = 0
+    system = None  # (BDF2?, step) of the live factors
     while ticks[-1] < total:
         k = ticks[-1]
         # largest 2^j <= 2 sqrt(k), from 4^j <= 4k in integers
         step = min(1 << max(0, ((4 * k).bit_length() - 1) // 2), total - k)
-        if step != rung:
-            lu = None  # release the last rung's factors before the next
-            lu = _factorize(M + (step * dt0) * K)
-            rung = step
-        v = lu.solve(v if k == 0 else M @ v)
+        back = next((Mv for t, Mv in recent if t == k - step), None)
+        bdf2 = back is not None
+        if (bdf2, step) != system:
+            lu = None  # release the last system's factors before the next
+            lu = _factorize((1.5 if bdf2 else 1.0) * M + (step * dt0) * K)
+            system = (bdf2, step)
+        Mv = recent[-1][1]
+        v = lu.solve(2.0 * Mv - 0.5 * back if bdf2 else Mv)
         ticks.append(k + step)
+        recent = recent[-2:] + [(k + step, M @ v)]
         q.append(float(m1 @ v))
     curve = HeatContentCurve(
         horizon * (np.array(ticks) / total), np.array(q),
-        f"implicit-euler dyadic m={m}",
+        f"bdf2 dyadic m={m}",
     )
     asm._heat_cache[key] = curve
     return curve
 
 
-def heat_content(mesh, times, steps_per_decade=400):
+def heat_content(mesh, times, steps_per_decade=100):
     """Heat content Q(t) at the requested times.
 
-    Implicit-Euler stepping of M v' = -K v from unit initial temperature
-    with a cold boundary, on a dyadic step ladder refined toward t = 0,
-    one factorization per step size. Values at the requested times come
-    from linear interpolation on the substep grid, which is denser than any
-    sensible request.
+    BDF2 stepping of M v' = -K v from unit initial temperature with a cold
+    boundary, on a dyadic step ladder refined toward t = 0 with
+    ``steps_per_decade`` steps per decade of time (see ``_heat_curve``),
+    one triangular solve per step and one factorization per scheme and
+    step size. The time error is second order: at the default 100 per
+    decade it is below 1e-4 of the lost heat over [25 h^2, 100 h^2] on
+    h = 0.048 meshes. Values at the requested times come from linear
+    interpolation on the substep grid, which is denser than any sensible
+    request.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -639,7 +659,7 @@ def _mesh_diameter(mesh):
     return float(np.linalg.norm(hi - lo))
 
 
-def laplace_transform_check(mesh, s, steps_per_decade=400):
+def laplace_transform_check(mesh, s, steps_per_decade=100):
     """Both sides of the identity int U_s = int_0^inf e^{st} Q(t) dt.
 
     The left side is the mesh integral of the resolvent solution; the

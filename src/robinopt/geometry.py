@@ -510,19 +510,21 @@ def _ring_angles(radii, h, node_cap, base=6, multiple_of=1):
     radius.
 
     Rings closer than 0.6 h (the graded zone) copy the previous count so
-    thin bands stay aligned quads. The node cap is checked on the counts,
-    before any angle array is built.
+    thin bands stay aligned quads. The counts are computed as arrays and the
+    node cap is checked on them, before any angle array is built.
     """
-    counts = []
-    for k, r in enumerate(radii):
-        m = max(base, int(round(2.0 * math.pi * r / h)))
-        if multiple_of > 1:
-            m = multiple_of * max(1, int(round(m / multiple_of)))
-        if counts and (r - radii[k - 1]) < 0.6 * h:
-            m = counts[-1]
-        counts.append(m)
-    _check_node_cap("ring", sum(counts), node_cap)
-    return [2.0 * math.pi * np.arange(m) / m for m in counts]
+    radii = np.asarray(radii, dtype=float)
+    counts = np.maximum(base, np.rint(2.0 * math.pi * radii / h))
+    if multiple_of > 1:
+        counts = multiple_of * np.maximum(1, np.rint(counts / multiple_of))
+    # a ring closer than 0.6 h to the one before copies its count, so each
+    # ring takes the count of the last ring that is not such a copy
+    own = np.ones(len(radii), dtype=bool)
+    own[1:] = ~(np.diff(radii) < 0.6 * h)
+    last_own = np.maximum.accumulate(np.where(own, np.arange(len(radii)), 0))
+    counts = counts[last_own].astype(np.int64)
+    _check_node_cap("ring", int(counts.sum()), node_cap)
+    return [2.0 * math.pi * np.arange(m) / m for m in counts.tolist()]
 
 
 def _polar(r, theta):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -306,6 +307,28 @@ def test_non_finite_option_is_clean_error(capsys, argv):
     assert "error:" in err and expected in err
     assert "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("value", ["0", "-1", str(10**9)])
+@pytest.mark.parametrize("argv", [
+    ("heat-content", "--t-count"),
+    ("sweep", "--mu-from", "-10", "--mu-to", "-5", "--mu-count"),
+    ("corner-coeff", "--grid"),
+    ("verify", "--suite", "optimality", "--samples"),
+])
+def test_count_option_out_of_range_is_clean_error(capsys, argv, value):
+    # refused while parsing, before any array is sized by the count
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv, value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert f"{argv[-1]}: '{value}' is not an integer from 1 to 10000" in err
+    assert "Traceback" not in err and "ValueError" not in err
+    assert out == ""
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("spec,expected", [

@@ -422,27 +422,64 @@ def test_heat_curve_dyadic_ladder(monkeypatch, horizon, steps, t_small):
     assert 0 < len(lus) <= math.ceil(math.log2(2 * m)) + 2
     assert curve.times[0] == 0.0
     assert curve.times[-1] == horizon
-    assert curve.scheme == f"implicit-euler dyadic m={m}"
+    assert curve.scheme == f"bdf2 dyadic m={m}"
     # every step but the last is a power-of-two multiple of dt0, growing
     ticks = np.rint(np.diff(curve.times) / (horizon / m**2)).astype(int)
     assert np.all(ticks[:-1] & (ticks[:-1] - 1) == 0)
     assert np.all(np.diff(ticks[:-1]) >= 0)
-    assert len(lus) == len(set(ticks))  # one factorization per step size
+    # one factorization per step size, and one for the start-up Euler step
+    assert len(lus) == len(set(ticks)) + 1
     # the curve is memoized: a second call factorizes nothing
     assert fem._heat_curve(mesh, horizon, steps, t_small=t_small) is curve
-    assert len(lus) == len(set(ticks))
+    assert len(lus) == len(set(ticks)) + 1
 
 
-def test_heat_content_matches_quadratic_grid():
-    # Q(t) of the former quadratically graded grid T (k/m)^2, m = 400, on
-    # this mesh and window
+@pytest.fixture(scope="module")
+def heat_disk():
+    """Disk at h = 0.048 and its time-exact semi-discrete heat content.
+
+    With K phi_i = lambda_i M phi_i on the interior nodes (dense, M-normal)
+    and M v(0) the mass vector m of the constant one, the semi-discrete
+    heat content is Q(t) = sum_i (phi_i' m)^2 exp(-lambda_i t), free of any
+    time-step error.
+    """
     mesh = generate_mesh(Domain.disk(1.0), 0.048)
-    h = 0.048
-    times = np.geomspace(25 * h * h, 100 * h * h, 6)
-    quadratic = [1.6310721724977415, 1.4417194749749354, 1.2366921069212602,
-                 1.0188729901227602, 0.794464910115406, 0.5746700046993568]
+    asm = assemble(mesh)
+    lam, phi = scipy.linalg.eigh(asm.K_II.toarray(), asm.M_II.toarray())
+    weights = (phi.T @ asm.mass_times_one[asm.interior]) ** 2
+
+    def exact(times):
+        return np.exp(-np.outer(times, lam)) @ weights
+
+    return mesh, exact
+
+
+def _window(count):
+    """The heat suite's fit window [25 h^2, 100 h^2] at h = 0.048."""
+    return np.geomspace(25 * 0.048**2, 100 * 0.048**2, count)
+
+
+def test_heat_content_matches_semi_discrete_reference(heat_disk):
+    mesh, exact = heat_disk
+    times = _window(6)
     curve = heat_content(mesh, times)
-    assert np.abs(curve.values - quadratic).max() <= 1e-3
+    assert np.abs(curve.values - exact(times)).max() <= 2e-4
+
+
+def test_heat_content_is_second_order_in_time(heat_disk):
+    # doubling the steps per decade cuts the time error about fourfold
+    mesh, exact = heat_disk
+    times = _window(20)
+    errors = [np.abs(heat_content(mesh, times, steps_per_decade=m).values
+                     - exact(times)).max() for m in (50, 100)]
+    assert errors[0] >= 3.0 * errors[1]
+
+
+def test_laplace_transform_identity_tight(heat_disk):
+    mesh, _ = heat_disk
+    for s in (-0.5, -1.0, -2.0):
+        out = laplace_transform_check(mesh, s)
+        assert abs(out["rhs"] / out["lhs"] - 1.0) <= 1e-3
 
 
 def test_dropped_mesh_is_freed_without_gc():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -424,6 +425,19 @@ def _oracle_lshape(a, b, h, layer_width):
     return np.array(nodes), np.array(tris)
 
 
+def _oracle_ring_angles(radii, h, base=6, multiple_of=1):
+    """Per-ring count loop, as the ring builder did it."""
+    counts = []
+    for k, r in enumerate(radii):
+        m = max(base, int(round(2.0 * math.pi * r / h)))
+        if multiple_of > 1:
+            m = multiple_of * max(1, int(round(m / multiple_of)))
+        if counts and (r - radii[k - 1]) < 0.6 * h:
+            m = counts[-1]
+        counts.append(m)
+    return [2.0 * math.pi * np.arange(m) / m for m in counts]
+
+
 def _oracle_ring_nodes(radii, ring_angles, point_of):
     """Per-node placement, centre first, as the ring builder did it."""
     nodes = [point_of(0.0, 0.0)]
@@ -441,7 +455,7 @@ def test_ring_and_tensor_meshes_match_loop_builders(layer):
 
     radii = geometry._graded_1d(1.0, h, 0.0, layer)[1:]
     expected = _oracle_ring_nodes(
-        radii, geometry._ring_angles(radii, h, 10**6), polar)
+        radii, _oracle_ring_angles(radii, h), polar)
     mesh = generate_mesh(Domain.disk(1.0), h, boundary_layer_width=layer)
     assert mesh.nodes.tobytes() == expected.tobytes()
 
@@ -455,7 +469,7 @@ def test_ring_and_tensor_meshes_match_loop_builders(layer):
 
     depth = geometry._graded_1d(apothem, h, 0.0, layer)[1:]
     expected = _oracle_ring_nodes(
-        depth, geometry._ring_angles(depth, h, 10**6, 5, 5), ngon_point)
+        depth, _oracle_ring_angles(depth, h, 5, 5), ngon_point)
     mesh = generate_mesh(Domain.regular_polygon(5, 1.3), h,
                          boundary_layer_width=layer)
     assert mesh.nodes.tobytes() == expected.tobytes()
@@ -491,3 +505,26 @@ def test_lshape_node_cap_counts_the_kept_nodes():
     assert len(generate_mesh(dom, 0.1, node_cap=kept).nodes) == kept
     with pytest.raises(MeshResourceError, match="node cap"):
         generate_mesh(dom, 0.1, node_cap=kept - 1)
+
+
+@pytest.mark.parametrize("domain", [Domain.disk(1e4), Domain.annulus(1e4, 1),
+                                    Domain.regular_polygon(6, 1e4)])
+def test_ring_node_cap_refuses_oversize_meshes_early(domain):
+    # 500 000 rings: the counts are checked as arrays, without a Python
+    # loop over the rings and before any angle array is built
+    start = time.perf_counter()
+    with pytest.raises(MeshResourceError, match="node cap"):
+        generate_mesh(domain, 0.02)
+    assert time.perf_counter() - start < 0.6
+
+
+def test_ring_node_cap_counts_every_node(catalogue):
+    for name in ("disk", "annulus", "ngon"):
+        dom = catalogue[name]
+        size = len(generate_mesh(dom, 0.1, boundary_layer_width=0.1).nodes)
+        mesh = generate_mesh(dom, 0.1, boundary_layer_width=0.1,
+                             node_cap=size)
+        assert len(mesh.nodes) == size, name
+        with pytest.raises(MeshResourceError, match="node cap"):
+            generate_mesh(dom, 0.1, boundary_layer_width=0.1,
+                          node_cap=size - 1)
