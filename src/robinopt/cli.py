@@ -19,9 +19,6 @@ import numpy as np
 from . import fem, geometry, optimizer, oracles, specfun, verify
 from .errors import ResolutionCapError, RobinoptError, UsageError
 
-_SUITES = ("optimality", "asymptotic", "heat", "blowup", "all")
-
-
 def _fmt(x):
     return f"{float(x):.12g}"
 
@@ -64,21 +61,25 @@ def _finite_float(text):
     return value
 
 
+def _int_in(lo, hi, what):
+    """argparse type: an integer from ``lo`` to ``hi``, else ``what``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = lo - 1
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    return parse
+
+
 # largest value of a count option (--mu-count, --t-count, --samples,
 # --grid); argparse refuses a larger one before any array is sized by it
 _COUNT_MAX = 10_000
-
-
-def _count(text):
-    """argparse type: an integer from 1 to ``_COUNT_MAX``."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if not 1 <= value <= _COUNT_MAX:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not an integer from 1 to {_COUNT_MAX}")
-    return value
+_count = _int_in(1, _COUNT_MAX, f"an integer from 1 to {_COUNT_MAX}")
+# a random seed, refused while parsing and not after the solve it follows
+_seed = _int_in(0, math.inf, "a non-negative integer")
 
 
 def _dump_sigma(mesh, sigma, path):
@@ -86,14 +87,9 @@ def _dump_sigma(mesh, sigma, path):
     lines = ["arc_length,sigma"]
     for loop in mesh.boundary_loops():
         arc = 0.0
-        prev = None
-        for node in loop:
-            if prev is not None:
-                arc += float(np.linalg.norm(
-                    mesh.nodes[node] - mesh.nodes[prev]
-                ))
+        for prev, node in zip(loop[:1] + loop, loop):
+            arc += float(np.linalg.norm(mesh.nodes[node] - mesh.nodes[prev]))
             lines.append(f"{_fmt(arc)},{_fmt(sigma.values[pos[node]])}")
-            prev = node
     _emit("\n".join(lines) + "\n", path)
 
 
@@ -188,10 +184,6 @@ def cmd_heat_content(args):
 
 
 def cmd_verify(args):
-    if args.suite not in _SUITES:
-        raise UsageError(
-            f"unknown suite {args.suite!r}; choose from {', '.join(_SUITES)}"
-        )
     if args.domain.startswith("mesh:"):
         raise UsageError("verification suites need a catalogue domain")
     domain = geometry.parse_domain(args.domain)
@@ -336,11 +328,11 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a verification suite")
     common(p, mu_default=-10.0)
-    p.add_argument("--suite", default="all",
-                   help="optimality | asymptotic | heat | blowup | all")
+    p.add_argument("--suite", default="all", choices=(
+        "optimality", "asymptotic", "heat", "blowup", "all"))
     p.add_argument("--samples", type=_count, default=100,
                    help=f"perturbed parameters, 1 to {_COUNT_MAX}")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("corner-coeff", help="polygon corner coefficient")

@@ -2,16 +2,17 @@
 
 Assembles stiffness, mass, and lumped boundary-mass matrices; models
 G(s) = int U_s on a rational Krylov space, a small dense pencil per mesh
-built from two factorizations (poles -s_cap and 0), which also yields the
-Dirichlet ground energy E1; solves the Dirichlet resolvent problem
-(-Lap - s) u = 1 with the model's Galerkin solution wherever its residual
-certifies it, and a direct solve elsewhere; recovers boundary fluxes
-variationally; computes principal Robin eigenvalues by inverse iteration at
-one shift, one factorization per solve and none when the start vector
-already meets the residual tolerance, with a Lanczos shift-invert fallback;
-and time-steps the Dirichlet heat equation for the heat content by
-second-order BDF2 on a dyadic step ladder, with implicit-Euler start-up
-steps, one factorization per scheme and step size.
+built from one factorization at the pole 0 (and one at -s_cap on steeply
+graded meshes), which also yields the Dirichlet ground energy E1; solves
+the Dirichlet resolvent problem (-Lap - s) u = 1 with the model's Galerkin
+solution wherever its residual certifies it, and a direct solve elsewhere;
+recovers boundary fluxes variationally; computes principal Robin
+eigenvalues by inverse iteration at one shift, one factorization per solve
+and none when the start vector already meets the residual tolerance, with
+a Lanczos shift-invert fallback; and time-steps the Dirichlet heat
+equation for the heat content by second-order BDF2 on a dyadic step
+ladder, with implicit-Euler start-up steps, one factorization per scheme
+and step size.
 
 Every sparse LU goes through ``_factorize``: SuperLU with a symmetric
 minimum-degree ordering and diagonal pivots, which suits these symmetric
@@ -274,8 +275,9 @@ def _solve_spd(A, rhs):
 _LAYER_RESOLUTION = 0.2
 # relative residual ||(K - s M) u - m|| / ||m|| up to which the resolvent
 # model's Galerkin solution is taken as the solution. At the sweep roots and
-# heat-content shifts of the benchmark meshes it is 2e-14 to 3.1e-13,
-# against 1e-14 to 1.6e-13 for a direct solve; |F - F~| <= s^2 ||U_s|| ||r||.
+# heat-content shifts of the benchmark meshes, where the model has the one
+# pole 0, it is 2.6e-14 to 2.5e-13, against 1.1e-14 to 1.5e-13 for a direct
+# solve; |F - F~| <= s^2 ||U_s|| ||r||.
 _GALERKIN_GATE = 1e-12
 
 
@@ -335,8 +337,12 @@ def solve_resolvent(mesh, s):
     return FieldSolution(mesh, u, tag)
 
 
-# Krylov vectors per pole of the resolvent model
-_KRYLOV_DEPTH = 8
+# Krylov vectors of the resolvent model, shared evenly among its poles
+_KRYLOV_DEPTH = 16
+# s_cap |Omega| up to which the pole 0 serves alone: by Faber-Krahn,
+# E1 >= 18.17 / |Omega|, so s_cap <= 330 E1 there. Beyond, on meshes graded
+# for mu near -200 and below, the pole -s_cap saves more LUs than it costs
+_ONE_POLE_REACH = 6000.0
 
 
 def _m_orthonormal(w, Q, M):
@@ -354,31 +360,36 @@ def _m_orthonormal(w, Q, M):
 def resolvent_model(mesh):
     """Rational Krylov model of G(s) = int U_s, and E1 (memoized per mesh).
 
-    The poles are -s_cap, the most negative shift the mesh resolves, and 0.
-    Each pole p contributes the vectors (K - pM)^-1 m and
-    ((K - pM)^-1 M)^j (K - pM)^-1 m, j = 1..7, on the interior nodes, with m
-    the mass vector of the constant one. One factorization per pole, each
-    released before the next is built. The union is M-orthonormalized and K
-    projected on it; the eigenpairs of that small matrix give the model.
-    Pole 0 comes last: while its factors are live, inverse iteration on the
-    Dirichlet pencil, started from the lowest Ritz vector, gives the ground
-    energy E1, in few steps or none (that start usually meets the tolerance
-    already). No factorization outlives the build.
+    The poles are 0 alone, or -s_cap and 0 when s_cap |Omega| exceeds
+    ``_ONE_POLE_REACH``, with -s_cap the most negative shift the mesh
+    resolves. Each pole p gives the vectors ((K - pM)^-1 M)^j (K - pM)^-1 m,
+    j = 0, 1, ..., on the interior nodes, m the mass vector of the constant
+    one: 16 vectors, shared evenly among the poles. One factorization per
+    pole, each released before the next is built. The union is
+    M-orthonormalized and K projected on it; the eigenpairs of that small
+    matrix give the model. Pole 0 comes last: while its factors are live,
+    inverse iteration on the Dirichlet pencil, started from the lowest Ritz
+    vector, gives the ground energy E1, in few steps or none (that start
+    usually meets the tolerance already). No factorization outlives the
+    build.
     """
     asm = assemble(mesh)
     if asm.model is not None:
         return asm.model
     K, M = asm.K_II, asm.M_II
     m1 = asm.mass_times_one[asm.interior]
+    s_cap = _s_cap(mesh)
+    area = asm.mass_times_one.sum()
+    poles = (0.0,) if s_cap * area <= _ONE_POLE_REACH else (-s_cap, 0.0)
     Q = np.empty((len(m1), 0))
-    for p in (-_s_cap(mesh), 0.0):
+    for p in poles:
         lu = None  # release the last pole's factors before the next
         lu = _factorize(K - p * M)
         chain = np.empty((len(m1), 0))
         w = _m_orthonormal(lu.solve(m1), chain, M)
         while w is not None:
             chain = np.column_stack([chain, w])
-            if chain.shape[1] == _KRYLOV_DEPTH:
+            if chain.shape[1] == _KRYLOV_DEPTH // len(poles):
                 break
             w = _m_orthonormal(lu.solve(M @ w), chain, M)
         for w in chain.T:

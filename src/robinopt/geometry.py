@@ -281,21 +281,15 @@ class Mesh:
 
     def boundary_loops(self):
         """Boundary node loops in orientation order, deterministic start."""
-        nxt = {}
-        for (a, b) in self.boundary_edges:
-            nxt[int(a)] = int(b)
-        loops = []
-        seen = set()
+        nxt = dict(self.boundary_edges.tolist())
+        loops, seen = [], set()
         for start in sorted(nxt):
             if start in seen:
                 continue
             loop = [start]
-            seen.add(start)
-            cur = nxt[start]
-            while cur != start:
-                loop.append(cur)
-                seen.add(cur)
-                cur = nxt[cur]
+            while nxt[loop[-1]] != start:
+                loop.append(nxt[loop[-1]])
+            seen.update(loop)
             loops.append(loop)
         return loops
 
@@ -372,15 +366,18 @@ class Mesh:
     @classmethod
     def load(cls, path):
         with open(path) as fh:
-            tokens = fh.read().split()
-        if len(tokens) < 3:
-            raise GeometryError(f"mesh file {path} is truncated")
-        try:
-            n, t, b = (int(v) for v in tokens[:3])
-        except ValueError:
-            raise GeometryError(f"mesh file {path} has a non-integer count")
-        if min(n, t, b) < 0:
-            raise GeometryError(f"mesh file {path} has a negative count")
+            # header counts meet the node cap (t < 2n, b <= n) before the body
+            tokens = fh.readline().split()
+            try:
+                n, t, b = (int(v) for v in tokens[:3])
+            except ValueError:  # too few or non-integer counts
+                raise GeometryError(f"mesh file {path} has a bad header")
+            if min(n, t, b) < 0:
+                raise GeometryError(f"mesh file {path} has a negative count")
+            if max(n, t // 2, b) > _DEFAULT_NODE_CAP:
+                raise GeometryError(f"mesh file {path} declares more than "
+                                    f"{_DEFAULT_NODE_CAP} nodes")
+            tokens += fh.read().split()
         if len(tokens) < 3 + 2 * n + 3 * t + 2 * b:
             raise GeometryError(f"mesh file {path} is truncated")
         vals = tokens[3:]

@@ -112,17 +112,17 @@ def _newton(F, F_prime, mu, lo, hi, s, edge, tol):
 def solve_s_of_mu(mesh, mu, tol=None):
     """Unique root of F(s) = mu, placed on a model and polished exactly.
 
-    The mesh's rational Krylov model F~(s) = s^2 G~(s) + s |Omega| of F
-    (see ``fem.resolvent_model``; poles 0 and -s_cap) is built first; it
-    also gives E1, the Dirichlet ground energy. The root is found on the
-    model to a hundredth of the tolerance, inside [-s_cap, 0] for mu < 0,
-    with s_cap the boundary-layer resolution cap, or [0, E1 (1 - 1e-4)] for
-    mu > 0. One exact F at that point usually meets the tolerance;
-    otherwise safeguarded Newton steps on the exact F follow. "Exact" is
-    ``fem.solve_resolvent``: the model's Galerkin solution where its residual
-    is at most 1e-12 ||M 1||, so F equals F~ there to rounding, and a direct
-    solve elsewhere. An end of the range is only reported as an error once
-    the exact F there confirms that the root lies beyond it.
+    The mesh's rational Krylov model F~(s) = s^2 G~(s) + s |Omega| of F (see
+    ``fem.resolvent_model``: pole 0, and -s_cap too on meshes graded for mu
+    below about -200) is built first; it also gives E1, the Dirichlet ground
+    energy. The root is found on the model to a hundredth of the tolerance,
+    inside [-s_cap, 0] for mu < 0, with s_cap the boundary-layer resolution
+    cap, or [0, E1 (1 - 1e-4)] for mu > 0. One exact F at that point usually
+    meets the tolerance; otherwise safeguarded Newton steps on the exact F
+    follow. "Exact" is ``fem.solve_resolvent``: the model's Galerkin solution
+    where its residual is at most 1e-12 ||M 1||, so F equals F~ there to
+    rounding, and a direct solve elsewhere. An end of the range is an error
+    only once the exact F there confirms that the root lies beyond it.
 
     Returns (s, iterations), counting the exact evaluations of F.
 

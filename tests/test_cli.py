@@ -138,8 +138,8 @@ def test_sweep_eigen_cross_check_factorizes_nothing(monkeypatch, capsys):
     assert lus_in_eigen == []
 
 
-def test_sweep_factorizes_twice_per_mesh(monkeypatch, capsys):
-    # the two poles of the mesh's resolvent model; every root's resolvent
+def test_sweep_factorizes_once_per_mesh(monkeypatch, capsys):
+    # the one pole, 0, of the mesh's resolvent model; every root's resolvent
     # solve is the model's certified Galerkin solution, and E1 comes with
     # the model
     calls = []
@@ -154,7 +154,7 @@ def test_sweep_factorizes_twice_per_mesh(monkeypatch, capsys):
                        "--mu-from", "-20", "--mu-to", "8", "--mu-count", "8")
     assert code == 0
     assert len(out.strip().splitlines()) == 9
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_sweep_partial_grid_exit_3(capsys):
@@ -329,6 +329,21 @@ def test_count_option_out_of_range_is_clean_error(capsys, argv, value):
     assert "Traceback" not in err and "ValueError" not in err
     assert out == ""
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("value", ["-1", "1.5", "x"])
+def test_seed_out_of_range_is_clean_error(monkeypatch, capsys, value):
+    # refused while parsing, before any mesh is built
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(robinopt.geometry, "generate_mesh", no_mesh)
+    code, out, err = run(capsys, "verify", "--suite", "optimality",
+                         "--seed", value, "--h", "0.1", "--samples", "2")
+    assert code == 1
+    assert f"--seed: '{value}' is not a non-negative integer" in err
+    assert "Traceback" not in err and "ValueError" not in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("spec,expected", [

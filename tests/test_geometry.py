@@ -229,6 +229,17 @@ def test_mesh_load_truncated(tmp_path):
         Mesh.load(path)
 
 
+@pytest.mark.parametrize("header", ["1000000000 4 4", "5 1000000000 4",
+                                    "5 4 1000000000"])
+def test_mesh_load_refuses_oversize_header_unread(tmp_path, header):
+    # the header meets the node cap before the body is read, so the cap,
+    # not the short body, refuses it
+    path = tmp_path / "huge.mesh"
+    path.write_text(header + "\n0 0\n")
+    with pytest.raises(GeometryError, match="more than 500000 nodes"):
+        Mesh.load(path)
+
+
 def test_parse_domain():
     assert parse_domain("disk:2").kind == "disk"
     assert parse_domain("annulus:2,1").params == (2.0, 1.0)

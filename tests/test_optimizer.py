@@ -83,7 +83,7 @@ def test_positive_mu_range_guard(disk_mesh_coarse):
 
 
 def test_positive_mu_out_of_range_is_one_exact_probe(monkeypatch):
-    # the two model poles take one factorization each, and E1 comes with
+    # the model's one pole, 0, takes one factorization, and E1 comes with
     # the model; the model puts the root beyond the E1 floor, and one exact
     # F there, too close to E1 for the model's solution, confirms it
     mesh = generate_mesh(Domain.disk(1.0), 0.05, boundary_layer_width=0.045)
@@ -101,7 +101,46 @@ def test_positive_mu_out_of_range_is_one_exact_probe(monkeypatch):
                         counting("eval_F", optimizer.eval_F))
     with pytest.raises(SpectralRangeError, match="smaller mu"):
         optimize(mesh, 1e9)
-    assert calls == {"splu": 3, "cg": 0, "eval_F": 1}
+    assert calls == {"splu": 2, "cg": 0, "eval_F": 1}
+
+
+def _counting_splu(monkeypatch):
+    calls = []
+    splu_ = fem.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return splu_(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "splu", counting_splu)
+    return calls
+
+
+def _assert_roots(mesh, mus):
+    for mu in mus:
+        s, _ = solve_s_of_mu(mesh, mu)
+        assert abs(eval_F(mesh, s) - mu) <= 1e-10 * (1 + abs(mu))
+
+
+def test_model_pole_zero_alone_lu_budget(monkeypatch):
+    # pole 0 alone serves the mesh graded for mu = -100: one model LU, and
+    # a direct solve only where a root leaves the model's reach
+    mesh = verify.mesh_for(Domain.disk(1.0), -100.0, 0.03)
+    calls = _counting_splu(monkeypatch)
+    res = optimize(mesh, -100.0)
+    assert res.sigma_integral_error <= res.tol
+    _assert_roots(mesh, np.linspace(-100.0, 8.0, 8))
+    assert len(calls) == 6
+
+
+def test_model_adds_pole_s_cap_past_its_reach(monkeypatch):
+    # the mesh graded for mu = -400 also takes the pole -s_cap: its LU saves
+    # more direct solves near -s_cap than it costs (pole 0 alone: 16 LUs)
+    mesh = verify.mesh_for(Domain.disk(1.0), -400.0, 0.03)
+    assert fem._s_cap(mesh) * mesh.area() > fem._ONE_POLE_REACH
+    calls = _counting_splu(monkeypatch)
+    _assert_roots(mesh, np.linspace(-400.0, 8.0, 8))
+    assert len(calls) == 15
 
 
 SWEEP_MUS = np.linspace(-20.0, 8.0, 8)
@@ -126,7 +165,8 @@ def _direct_resolvent(mesh, s):
     return u
 
 
-@pytest.mark.parametrize("name", ["disk", "lshape"])
+@pytest.mark.parametrize("name",
+                         ["disk", "rect", "ngon", "lshape", "annulus"])
 def test_resolvent_model_matches_exact_F(sweep_meshes, name):
     mesh = sweep_meshes[name]
     s_cap = -fem._s_cap(mesh)

@@ -30,7 +30,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PAIRS = {"sweep": 10, "optimality": 4, "heat": 4}
+PAIRS = {"sweep": 10, "optimality": 10, "heat": 10}
 SEEDS = range(1, 11)
 
 
