@@ -78,7 +78,7 @@ def _int_in(lo, hi, what):
 # --grid); argparse refuses a larger one before any array is sized by it
 _COUNT_MAX = 10_000
 _count = _int_in(1, _COUNT_MAX, f"an integer from 1 to {_COUNT_MAX}")
-# a random seed, refused while parsing and not after the solve it follows
+# numpy refuses a negative --seed too, but only after the optimization
 _seed = _int_in(0, math.inf, "a non-negative integer")
 
 

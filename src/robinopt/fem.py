@@ -276,7 +276,7 @@ _LAYER_RESOLUTION = 0.2
 # relative residual ||(K - s M) u - m|| / ||m|| up to which the resolvent
 # model's Galerkin solution is taken as the solution. At the sweep roots and
 # heat-content shifts of the benchmark meshes, where the model has the one
-# pole 0, it is 2.6e-14 to 2.5e-13, against 1.1e-14 to 1.5e-13 for a direct
+# pole 0, it is 2.6e-14 to 2.6e-13, against 1.1e-14 to 1.6e-13 for a direct
 # solve; |F - F~| <= s^2 ||U_s|| ||r||.
 _GALERKIN_GATE = 1e-12
 
