@@ -1,22 +1,23 @@
 """Sparse P1 finite-element core.
 
-Assembles stiffness, mass, and lumped boundary-mass matrices; models
-G(s) = int U_s on a rational Krylov space, a small dense pencil per mesh
-built from one factorization at the pole 0 (and one at -s_cap on steeply
-graded meshes), which also yields the Dirichlet ground energy E1; solves
-the Dirichlet resolvent problem (-Lap - s) u = 1 with the model's Galerkin
-solution wherever its residual certifies it, and a direct solve elsewhere;
-recovers boundary fluxes variationally; computes principal Robin
-eigenvalues by inverse iteration at one shift, one factorization per solve
-and none when the start vector already meets the residual tolerance, with
-a Lanczos shift-invert fallback; and time-steps the Dirichlet heat
-equation for the heat content by second-order BDF2 on a dyadic step
-ladder, with implicit-Euler start-up steps, one factorization per scheme
-and step size.
+Assembles stiffness and mass matrices and the lumped boundary-mass
+diagonal; models G(s) = int U_s on a rational Krylov space, a small dense
+pencil per mesh built from one factorization at the pole 0 (and one at
+-s_cap on steeply graded meshes), which also yields the Dirichlet ground
+energy E1; solves (-Lap - s) u = 1, zero on the boundary, by the model's
+Galerkin solution wherever its residual certifies it, and a direct solve
+elsewhere; recovers boundary fluxes variationally; computes principal
+Robin eigenvalues by inverse iteration at one shift, one factorization
+per solve and none when the start vector already meets the residual
+tolerance, with a Lanczos shift-invert fallback; and time-steps the
+Dirichlet heat equation for the heat content by BDF2 on a dyadic step
+ladder, one factorization per scheme and step size.
 
 Every sparse LU goes through ``_factorize``: SuperLU with a symmetric
 minimum-degree ordering and diagonal pivots, which suits these symmetric
-systems. At most one factorization is live at a time.
+systems. At most one factorization is live at a time. Other sums of
+matrices are applied, not built: K + B(sigma) as K v + d * v and K - s M
+as K v - s (M v).
 
 All solves are deterministic. Assembled matrices, their interior blocks,
 resolvent solutions, the resolvent model (with E1), and heat curves are
@@ -177,19 +178,18 @@ class Assembly:
     def mesh(self):
         return self._mesh()
 
-    def trace_mass(self, sigma):
-        """Diagonal boundary-mass matrix for the parameter ``sigma``.
+    def boundary_diagonal(self, sigma):
+        """Diagonal d of the boundary-mass matrix B(sigma), over all nodes.
 
-        Lumped trapezoidal quadrature on boundary edges keeps the matrix
-        diagonal; entry i is sigma_i times the boundary measure around
-        node i.
+        Lumped trapezoidal quadrature on boundary edges keeps B diagonal;
+        d_i is sigma_i times the boundary measure around node i, and 0 at
+        interior nodes. B v is d * v.
         """
         if sigma.mesh is not self.mesh:
             raise GeometryError("boundary function belongs to another mesh")
-        n = len(self.mesh.nodes)
-        diag = np.zeros(n)
-        diag[self.boundary] = sigma.values * self.boundary_node_weights
-        return sparse.diags(diag).tocsr()
+        d = np.zeros(len(self.mesh.nodes))
+        d[self.boundary] = sigma.values * self.boundary_node_weights
+        return d
 
 
 def _assemble_km(mesh):
@@ -220,10 +220,10 @@ def _assemble_km(mesh):
     n = len(p)
     K = sparse.csr_matrix((np.concatenate(kvals), (rows, cols)), shape=(n, n))
     M = sparse.csr_matrix((np.concatenate(mvals), (rows, cols)), shape=(n, n))
-    K = 0.5 * (K + K.T)
-    M = 0.5 * (M + M.T)
+    # both are exactly symmetric as summed: an edge has at most two
+    # triangles, and a sum of two terms does not depend on their order
     K.eliminate_zeros()
-    return K.tocsr(), M.tocsr()
+    return K, M
 
 
 def assemble(mesh):
@@ -345,18 +345,6 @@ _KRYLOV_DEPTH = 16
 _ONE_POLE_REACH = 6000.0
 
 
-def _m_orthonormal(w, Q, M):
-    """``w`` M-orthogonalized against the columns of ``Q`` (two Gram-Schmidt
-    passes) and M-normalized; None if nothing independent is left."""
-    norm0 = math.sqrt(w @ (M @ w))
-    for _ in range(2):
-        w = w - Q @ (Q.T @ (M @ w))
-    norm = math.sqrt(w @ (M @ w))
-    if not norm > 1e-10 * norm0:
-        return None
-    return w / norm
-
-
 def resolvent_model(mesh):
     """Rational Krylov model of G(s) = int U_s, and E1 (memoized per mesh).
 
@@ -365,13 +353,14 @@ def resolvent_model(mesh):
     resolves. Each pole p gives the vectors ((K - pM)^-1 M)^j (K - pM)^-1 m,
     j = 0, 1, ..., on the interior nodes, m the mass vector of the constant
     one: 16 vectors, shared evenly among the poles. One factorization per
-    pole, each released before the next is built. The union is
-    M-orthonormalized and K projected on it; the eigenpairs of that small
-    matrix give the model. Pole 0 comes last: while its factors are live,
-    inverse iteration on the Dirichlet pencil, started from the lowest Ritz
-    vector, gives the ground energy E1, in few steps or none (that start
-    usually meets the tolerance already). No factorization outlives the
-    build.
+    pole, each released before the next is built. Two Gram-Schmidt passes
+    M-orthonormalize each new vector against all before it, projecting with
+    the stored products M Q, so a vector costs one M-product, which is the
+    right-hand side of the next solve. K is projected on the basis; the
+    eigenpairs of that small matrix give the model. Pole 0 comes last: while
+    its factors are live, inverse iteration on the Dirichlet pencil, started
+    from the lowest Ritz vector, gives the ground energy E1, in few steps or
+    none. No factorization outlives the build.
     """
     asm = assemble(mesh)
     if asm.model is not None:
@@ -381,21 +370,27 @@ def resolvent_model(mesh):
     s_cap = _s_cap(mesh)
     area = asm.mass_times_one.sum()
     poles = (0.0,) if s_cap * area <= _ONE_POLE_REACH else (-s_cap, 0.0)
-    Q = np.empty((len(m1), 0))
+    Q = np.empty((len(m1), _KRYLOV_DEPTH), order="F")
+    MQ = np.empty_like(Q)
+    k = 0
     for p in poles:
         lu = None  # release the last pole's factors before the next
         lu = _factorize(K - p * M)
-        chain = np.empty((len(m1), 0))
-        w = _m_orthonormal(lu.solve(m1), chain, M)
-        while w is not None:
-            chain = np.column_stack([chain, w])
-            if chain.shape[1] == _KRYLOV_DEPTH // len(poles):
+        rhs = m1
+        for _ in range(_KRYLOV_DEPTH // len(poles)):
+            w = lu.solve(rhs)
+            c = MQ[:, :k].T @ w
+            w -= Q[:, :k] @ c
+            w -= Q[:, :k] @ (MQ[:, :k].T @ w)
+            Mw = M @ w
+            norm = math.sqrt(w @ Mw)
+            # the M-norm of w before the passes is sqrt(|c|^2 + norm^2)
+            if not norm > 1e-10 * math.sqrt(c @ c + norm * norm):
                 break
-            w = _m_orthonormal(lu.solve(M @ w), chain, M)
-        for w in chain.T:
-            w = _m_orthonormal(w, Q, M)
-            if w is not None:
-                Q = np.column_stack([Q, w])
+            Q[:, k] = w / norm
+            MQ[:, k] = rhs = Mw / norm
+            k += 1
+    Q = Q[:, :k]
     T = Q.T @ (K @ Q)
     ritz, Y = np.linalg.eigh(0.5 * (T + T.T))
     V = Q @ Y
@@ -418,7 +413,7 @@ def normal_flux(mesh, u, s):
     if u.meaning not in (TAG_RESOLVENT, TAG_TORSION):
         raise GeometryError("normal_flux expects a resolvent solution")
     asm = assemble(mesh)
-    residual = (asm.K - s * asm.M) @ u.values - asm.mass_times_one
+    residual = asm.K @ u.values - s * (asm.M @ u.values) - asm.mass_times_one
     vals = residual[asm.boundary] / asm.boundary_node_weights
     return BoundaryFunction(mesh, vals)
 
@@ -426,10 +421,6 @@ def normal_flux(mesh, u, s):
 def estimate_dirichlet_e1(mesh):
     """First Dirichlet eigenvalue, read off the mesh's resolvent model."""
     return resolvent_model(mesh).e1
-
-
-def _rayleigh(A, M, v):
-    return float(v @ (A @ v)) / float(v @ (M @ v))
 
 
 def robin_principal_eigenvalue(mesh, sigma, tol=1e-8, v0=None):
@@ -440,10 +431,12 @@ def robin_principal_eigenvalue(mesh, sigma, tol=1e-8, v0=None):
     ``v0`` the shift sits below the spectrum by the square of the largest
     negative parameter value and the iteration starts from the constants.
     A warm start ``v0`` is both the starting vector and the source of the
-    shift, which sits just below its Rayleigh quotient. A start that already
-    meets the residual tolerance is taken as it is, after 0 iterations and
-    with no factorization: the minimizer u_mu of ``optimizer.optimize`` is
-    such a start for sigma_mu, and so are the constants for sigma = 0. If
+    shift, which sits just below its Rayleigh quotient. K + B is applied as
+    K v + d * v, d the diagonal of B, and a sparse matrix is built only to
+    be factorized: a start that already meets the residual tolerance is
+    taken as it is, after 0 iterations and with no matrix built. The
+    minimizer u_mu of ``optimizer.optimize`` is such a start for sigma_mu,
+    and so are the constants for sigma = 0. If
     the iteration stalls or ends on a mode that is not sign-definite (a
     higher mode was caught, or given as the start), a Lanczos
     shift-and-invert solve takes over, lowering its shift until no lower
@@ -453,8 +446,7 @@ def robin_principal_eigenvalue(mesh, sigma, tol=1e-8, v0=None):
     norm ||(K + B - lambda M) u|| is at most ``tol``.
     """
     asm = assemble(mesh)
-    A = (asm.K + asm.trace_mass(sigma)).tocsr()
-    M = asm.M
+    d = asm.boundary_diagonal(sigma)
     sigma_neg_max = max(0.0, float(-sigma.values.min()))
     tau = -1.5 * sigma_neg_max**2 - 1.0
     total_iters = 0
@@ -471,11 +463,9 @@ def robin_principal_eigenvalue(mesh, sigma, tol=1e-8, v0=None):
     if v0 is None:
         v, shift = np.ones(len(mesh.nodes)), tau
     else:
-        v = np.array(v0, dtype=float)
-        rho = _rayleigh(A, M, v)
-        shift = rho - 0.05 * (1.0 + abs(rho))
+        v, shift = np.array(v0, dtype=float), None
     try:
-        lam, v, resid, iters = _inverse_iteration(A, M, shift, v, tol)
+        lam, v, resid, iters = _inverse_iteration(asm.K, asm.M, shift, v, tol, d)
         total_iters += iters
         if v @ asm.mass_times_one < 0:
             v = -v
@@ -488,10 +478,11 @@ def robin_principal_eigenvalue(mesh, sigma, tol=1e-8, v0=None):
     # smallest eigenvalue found is stable (no lower one appears). Extreme
     # concentrated parameters can have sign-indefinite discrete ground
     # states, so minimality is confirmed by shift descent instead.
+    A = asm.K + sparse.diags(d)
     best = None
     for _ in range(5):
         try:
-            cand = _lanczos_ground(A, M, tau, tol)
+            cand = _lanczos_ground(A, asm.M, tau, tol)
             total_iters += cand[3]
         except SolverError:
             tau = 2.0 * tau - 1.0
@@ -520,8 +511,9 @@ def _lanczos_ground(A, M, tau, tol):
         raise SolverError(f"Lanczos shift-invert failed at {tau:g}: {exc}")
     v = vecs[:, 0]
     v /= math.sqrt(abs(v @ (M @ v)))
-    rho = _rayleigh(A, M, v)
-    resid = float(np.linalg.norm(A @ v - rho * (M @ v)))
+    Av, Mv = A @ v, M @ v
+    rho = float(v @ Av) / float(v @ Mv)
+    resid = float(np.linalg.norm(Av - rho * Mv))
     if resid > tol:
         raise SolverError(
             f"Lanczos ground pair residual {resid:g} above {tol:g}",
@@ -530,21 +522,25 @@ def _lanczos_ground(A, M, tau, tol):
     return rho, v, resid, 1
 
 
-def _inverse_iteration(A, M, shift, v, tol, lu=None):
+def _inverse_iteration(K, M, shift, v, tol, d=0.0, lu=None):
     """Inverse iteration v <- (A - shift M)^-1 M v, M-normalized.
 
-    The stopping rule is tested on the start vector first: if its
-    Rayleigh-quotient residual ||A v - rho M v|| is already at most ``tol``,
-    it is returned after 0 steps and nothing is factorized (one step from
-    an eigenvector would only rescale it). Otherwise one factorization, or
-    the given factors ``lu`` of A - shift M, serves every step. Returns
-    (rho, v, residual, steps); raises ``SolverError`` after 200 steps.
+    A = K + diag(d) is applied as K v + d * v. The stopping rule is tested
+    on the start vector first: if its Rayleigh-quotient residual
+    ||A v - rho M v|| is already at most ``tol``, it is returned after 0
+    steps and nothing is built or factorized (one step from an eigenvector
+    would only rescale it). Otherwise one factorization of A - shift M, or
+    the given factors ``lu``, serves every step; a ``shift`` of None means
+    rho - 0.05 (1 + |rho|) for the start's rho. Returns (rho, v, residual,
+    steps); raises ``SolverError`` after 200 steps.
     """
     Mv = M @ v
     for it in range(201):
         if it == 1 and lu is None:
+            if shift is None:
+                shift = rho - 0.05 * (1.0 + abs(rho))
             try:
-                lu = _factorize(A - shift * M)
+                lu = _factorize(K + sparse.diags(d) - shift * M)
             except RuntimeError as exc:
                 raise SolverError(
                     f"factorization failed at shift {shift:g}: {exc}")
@@ -556,7 +552,7 @@ def _inverse_iteration(A, M, shift, v, tol, lu=None):
             raise SolverError("inverse iteration produced a bad vector")
         v /= norm
         Mv /= norm
-        Av = A @ v
+        Av = K @ v + d * v
         rho = float(v @ Av)
         resid = float(np.linalg.norm(Av - rho * Mv))
         if resid <= tol:

@@ -365,7 +365,8 @@ class Mesh:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
+        # a non-ASCII byte decodes to U+FFFD, which no number parses
+        with open(path, encoding="ascii", errors="replace") as fh:
             # header counts meet the node cap (t < 2n, b <= n) before the body
             tokens = fh.readline().split()
             try:
@@ -389,9 +390,9 @@ class Mesh:
                                 dtype=np.int64).reshape(b, 2)
         except ValueError:
             raise GeometryError(f"mesh file {path} has a non-numeric entry")
-        if not np.isfinite(nodes).all():
-            raise GeometryError(f"mesh file {path} has a non-finite "
-                                "coordinate")
+        if not (np.abs(nodes) <= _MAX_LENGTH).all():  # NaN too
+            raise GeometryError(f"mesh file {path} has a coordinate not "
+                                f"within +-{_MAX_LENGTH:g}")
         if t == 0:
             raise GeometryError(f"mesh file {path} has no triangles")
         for what, ids in (("triangle", tris), ("boundary edge", declared)):

@@ -164,6 +164,9 @@ def run_optimality_suite(domain, mu, samples=100, seed=0, h=0.02, tol=None):
         raise GeometryError("optimality suite covers mu <= 0")
     if samples < 1:
         raise GeometryError("need at least one sample")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise GeometryError(f"seed must be a non-negative integer, got "
+                            f"{seed!r}")
     t0 = time.perf_counter()
     report = SuiteReport(f"optimality[{domain} mu={mu:g} samples={samples} "
                          f"seed={seed}]")

@@ -229,6 +229,22 @@ def test_mesh_load_truncated(tmp_path):
         Mesh.load(path)
 
 
+@pytest.mark.parametrize("body,match", [
+    # a Latin-1 byte in a coordinate is not UTF-8
+    (b"5 4 4\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\xb0\n", "non-numeric entry"),
+    (b"5 4 4\n0 0\n1e308 0\n1e308 1e308\n0 1e308\n5e307 5e307\n",
+     "coordinate not within"),
+], ids=["non-UTF-8 byte", "coordinate near 1e308"])
+def test_mesh_load_refuses_unreadable_body(tmp_path, body, match):
+    # unit square in four triangles around its centre node; only the nodes
+    # above differ from a mesh that loads
+    path = tmp_path / "bad.mesh"
+    path.write_bytes(body + b"0 1 4\n1 2 4\n2 3 4\n3 0 4\n"
+                     b"0 1\n1 2\n2 3\n3 0\n")
+    with pytest.raises(GeometryError, match=match):
+        Mesh.load(path)
+
+
 @pytest.mark.parametrize("header", ["1000000000 4 4", "5 1000000000 4",
                                     "5 4 1000000000"])
 def test_mesh_load_refuses_oversize_header_unread(tmp_path, header):

@@ -12,6 +12,7 @@ from robinopt import (
     run_heat_content_suite,
     run_optimality_suite,
 )
+from robinopt import verify
 from robinopt.errors import ResolutionCapError
 
 
@@ -36,6 +37,16 @@ def test_optimality_suite_degenerate_zero():
 def test_optimality_suite_rejects_positive_mu():
     with pytest.raises(GeometryError):
         run_optimality_suite(Domain.disk(1.0), 1.0, samples=2, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "0", None])
+def test_optimality_suite_refuses_bad_seed_before_meshing(monkeypatch, seed):
+    def no_mesh(*args):
+        raise AssertionError("meshed before the seed was checked")
+
+    monkeypatch.setattr(verify, "mesh_for", no_mesh)
+    with pytest.raises(GeometryError, match="seed must be a non-negative"):
+        run_optimality_suite(Domain.disk(1.0), -1.0, samples=2, seed=seed)
 
 
 def test_optimality_adversarial_case_far_below():
