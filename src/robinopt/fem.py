@@ -10,8 +10,11 @@ elsewhere; recovers boundary fluxes variationally; computes principal
 Robin eigenvalues by inverse iteration at one shift, one factorization
 per solve and none when the start vector already meets the residual
 tolerance, with a Lanczos shift-invert fallback; and time-steps the
-Dirichlet heat equation for the heat content by BDF2 on a dyadic step
-ladder, one factorization per scheme and step size.
+Dirichlet heat equation for the heat content by one implicit-Euler
+start-up step and BDF2 on a dyadic step ladder, one factorization per
+system met. The Laplace check of the heat curve stops stepping at 12 / E1
+and closes the tail with the ground mode, which misses at most e^-12 of
+|Omega| / (E1 - s).
 
 Every sparse LU goes through ``_factorize``: SuperLU with a symmetric
 minimum-degree ordering and diagonal pivots, which suits these symmetric
@@ -27,6 +30,7 @@ construction, so sharing meshes across threads is safe.
 """
 
 import math
+import numbers
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -566,29 +570,38 @@ def _inverse_iteration(K, M, shift, v, tol, d=0.0, lu=None):
 # heat content
 # ---------------------------------------------------------------------------
 
-def _heat_curve(mesh, horizon, steps_per_decade=100, t_small=None):
+def _heat_curve(mesh, horizon, steps_per_decade=100, t_small=None,
+                stop=math.inf):
     """BDF2 heat-content curve on a dyadic step ladder.
 
     With m = ``steps_per_decade`` steps per decade between ``t_small`` and
-    the horizon T, and dt0 = T / m^2, every step is dt0 * 2^j: the local
-    spacing 2 sqrt(t T) / m of the quadratic grid T (k/m)^2, rounded down
-    to a power-of-two multiple of dt0; the last step is cut to end at T.
+    the horizon T, and dt0 = T / m^2, the first step is one implicit-Euler
+    step of 4 dt0, (M + 4 dt0 K) v_1 = M v_0. From tick 4 on, each step is
+    dt0 * 2^j: the local spacing 2 sqrt(t T) / m of the quadratic grid
+    T (k/m)^2, rounded down to a power-of-two multiple of dt0, so every
+    tick is a multiple of its step unless the step was held back (below);
+    the last step is cut to end at T.
     Every time is a whole multiple of dt0, so the curve ends exactly at the
-    horizon.
+    horizon, or at the first tick at or past ``stop`` if that comes first.
+    A step grows only while dt rho <= 1/2, with rho >= E1 the Rayleigh
+    quotient of the state: BDF2's roots for the ground mode are real up to
+    dt E1 = 1/2, and past it Q(t) oscillates in sign. On short ladders
+    stepped far past 1 / E1 (one decade up to diam^2) this holds the step
+    back; elsewhere it never binds.
 
     A step of size dt from tick k solves the constant-step BDF2 system
     (3/2 M + dt K) v_n = M (2 v_{n-1} - v_{n-2} / 2), with v_{n-2} the
     state at tick k - dt: after a rung change, where the step doubles, that
-    is the state two fine steps back. Where no state sits there (the first
-    steps and a cut last step) the step is implicit Euler,
-    (M + dt K) v_n = M v_{n-1}. M v of the last three states is kept, so a
-    step costs one triangular solve and one mass product. There is one
-    factorization per (scheme, step size), one more than the step sizes
-    (the start-up Euler step at 2 dt0), and only one is live at a time.
-    Memoized per assembly.
+    is the state two fine steps back. Only the start-up step and a cut last
+    step, where no state sits there, are implicit Euler. M v of the last
+    three states is kept, so a step costs one triangular solve and one mass
+    product. There is one factorization per system in the order they are
+    met: the start-up step, each BDF2 rung, and a cut last step; only one
+    is live at a time. Memoized per assembly; the stop is part of the key.
     """
     asm = assemble(mesh)
-    key = (float(horizon), float(t_small or 0.0), steps_per_decade)
+    key = (float(horizon), float(t_small or 0.0), steps_per_decade,
+           float(stop))
     cached = asm._heat_cache.get(key)
     if cached is not None:
         return cached
@@ -606,17 +619,24 @@ def _heat_curve(mesh, horizon, steps_per_decade=100, t_small=None):
     recent = [(0, m1)]
     lu = None
     system = None  # (BDF2?, step) of the live factors
-    while ticks[-1] < total:
+    step = 0  # the last step, in units of dt0
+    while ticks[-1] < total and ticks[-1] * dt0 < stop:
         k = ticks[-1]
-        # largest 2^j <= 2 sqrt(k), from 4^j <= 4k in integers
-        step = min(1 << max(0, ((4 * k).bit_length() - 1) // 2), total - k)
+        Mv = recent[-1][1]
+        # largest 2^j <= 2 sqrt(k), from 4^j <= 4k in integers; 4 at k = 0
+        grow = min(1 << ((4 * max(k, 4)).bit_length() - 1) // 2, total - k)
+        # the step grows only while rho dt <= 1/2, rho >= E1 the Rayleigh
+        # quotient of the state: past that, the BDF2 roots of the ground
+        # mode are complex and Q(t) oscillates in sign near the horizon
+        if grow > step > 0 and grow * dt0 * (v @ (K @ v)) > 0.5 * (v @ Mv):
+            grow = step
+        step = grow
         back = next((Mv for t, Mv in recent if t == k - step), None)
         bdf2 = back is not None
         if (bdf2, step) != system:
             lu = None  # release the last system's factors before the next
             lu = _factorize((1.5 if bdf2 else 1.0) * M + (step * dt0) * K)
             system = (bdf2, step)
-        Mv = recent[-1][1]
         v = lu.solve(2.0 * Mv - 0.5 * back if bdf2 else Mv)
         ticks.append(k + step)
         recent = recent[-2:] + [(k + step, M @ v)]
@@ -629,20 +649,37 @@ def _heat_curve(mesh, horizon, steps_per_decade=100, t_small=None):
     return curve
 
 
+def _check_steps_per_decade(steps_per_decade):
+    """``GeometryError`` unless ``steps_per_decade`` is a positive integer."""
+    if (isinstance(steps_per_decade, bool)
+            or not isinstance(steps_per_decade, numbers.Integral)
+            or steps_per_decade <= 0):
+        raise GeometryError(
+            f"steps_per_decade must be a positive integer, got "
+            f"{steps_per_decade!r}"
+        )
+    return int(steps_per_decade)
+
+
 def heat_content(mesh, times, steps_per_decade=100):
     """Heat content Q(t) at the requested times.
 
     BDF2 stepping of M v' = -K v from unit initial temperature with a cold
-    boundary, on a dyadic step ladder refined toward t = 0 with
-    ``steps_per_decade`` steps per decade of time (see ``_heat_curve``),
-    one triangular solve per step and one factorization per scheme and
-    step size. The time error is second order: at the default 100 per
+    boundary, after one implicit-Euler start-up step, on a dyadic step
+    ladder refined toward t = 0 with ``steps_per_decade`` steps per decade
+    of time (see ``_heat_curve``), one triangular solve per step and one
+    factorization per system: the start-up step, each BDF2 rung and a cut
+    last step. The time error is second order: at the default 100 per
     decade it is below 1e-4 of the lost heat over [25 h^2, 100 h^2] on
     h = 0.048 meshes. Values at the requested times come from linear
     interpolation on the substep grid, which is denser than any sensible
-    request.
+    request. ``steps_per_decade`` must be a positive integer.
     """
-    times = np.asarray(times, dtype=float)
+    steps_per_decade = _check_steps_per_decade(steps_per_decade)
+    try:
+        times = np.asarray(times, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise GeometryError("times must be an array of numbers") from None
     if times.ndim != 1 or len(times) == 0:
         raise GeometryError("times must be a non-empty 1D array")
     if (not np.all(np.isfinite(times)) or times.min() <= 0
@@ -666,23 +703,44 @@ def _mesh_diameter(mesh):
     return float(np.linalg.norm(hi - lo))
 
 
+# The Laplace check's heat curve stops at the first tick at or past
+# t* = _HEAT_TAIL_STOP / E1 and is closed by Q(t*) e^{s t*} / (E1 - s). For
+# Q(t) = sum_i c_i^2 e^{-lambda_i t}, the closure is exact on the ground
+# mode and overstates only the higher ones, by at most
+# sum_{i>1} c_i^2 e^{(s - lambda_i) t*} / (E1 - s), which is below
+# e^{-12} |Omega| / (E1 - s), about 6e-6 of the tail's scale. By Faber-Krahn
+# and the isodiametric inequality E1 diam^2 >= 4 j01^2 = 23.1, so t* lies
+# inside the horizon diam^2
+_HEAT_TAIL_STOP = 12.0
+
+
 def laplace_transform_check(mesh, s, steps_per_decade=100):
     """Both sides of the identity int U_s = int_0^inf e^{st} Q(t) dt.
 
-    The left side is the mesh integral of the resolvent solution; the
-    right side integrates the computed heat curve by the trapezoid rule
-    with an exponential tail closure using the Dirichlet ground energy.
-    Returns a dict with keys ``lhs`` and ``rhs``.
+    The left side is the mesh integral of the resolvent solution. The right
+    side steps the heat ladder of ``_heat_curve`` for the horizon
+    T = diam^2 (t_small = T / 1000) only up to its first tick t* at or past
+    12 / E1, E1 the Dirichlet ground energy of the resolvent model; it
+    integrates that curve by the trapezoid rule and closes the tail with
+    Q(t*) e^{s t*} / (E1 - s), which misses at most e^{-12} of |Omega| /
+    (E1 - s) (see ``_HEAT_TAIL_STOP``). The curve is shared by every s on
+    the mesh. ``s`` must be finite and negative and ``steps_per_decade`` a
+    positive integer. Returns a dict with keys ``lhs`` and ``rhs``.
     """
-    s = float(s)
-    if s >= 0:
-        raise GeometryError("laplace_transform_check requires s < 0")
+    steps_per_decade = _check_steps_per_decade(steps_per_decade)
+    try:
+        s = float(s)
+    except (TypeError, ValueError, OverflowError):
+        raise GeometryError(f"s must be a number, got {s!r}") from None
+    if not (math.isfinite(s) and s < 0):
+        raise GeometryError(
+            f"laplace_transform_check requires a finite s < 0, got {s!r}")
     lhs = solve_resolvent(mesh, s).integral()
     horizon = _mesh_diameter(mesh) ** 2
+    e1 = resolvent_model(mesh).e1
     curve = _heat_curve(mesh, horizon, steps_per_decade,
-                        t_small=horizon * 1e-3)
+                        t_small=horizon * 1e-3, stop=_HEAT_TAIL_STOP / e1)
     weights = np.exp(s * curve.times) * curve.values
     rhs = float(np.trapezoid(weights, curve.times))
-    e1 = estimate_dirichlet_e1(mesh)
-    rhs += curve.values[-1] * math.exp(s * horizon) / (e1 - s)
+    rhs += weights[-1] / (e1 - s)
     return {"lhs": lhs, "rhs": rhs}

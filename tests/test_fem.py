@@ -378,6 +378,28 @@ def test_heat_content_validates_times(square_mesh_mid):
         heat_content(square_mesh_mid, [0.01, math.nan])
 
 
+@pytest.mark.parametrize("steps", [0, -5, 2.5, math.nan, True, "100", None])
+def test_heat_options_reject_bad_steps_per_decade(square_mesh_mid, steps):
+    with pytest.raises(GeometryError, match="steps_per_decade"):
+        heat_content(square_mesh_mid, [0.01, 0.1], steps_per_decade=steps)
+    with pytest.raises(GeometryError, match="steps_per_decade"):
+        laplace_transform_check(square_mesh_mid, -1.0, steps_per_decade=steps)
+
+
+@pytest.mark.parametrize("s", [math.nan, -math.inf, math.inf, -10**400,
+                               "x", None])
+def test_laplace_transform_rejects_bad_shift_before_factorizing(
+        monkeypatch, s):
+    mesh = generate_mesh(Domain.disk(1.0), 0.2)
+
+    def no_splu(*args, **kwargs):
+        raise AssertionError("factorized before rejecting the shift")
+
+    monkeypatch.setattr(fem, "splu", no_splu)
+    with pytest.raises(GeometryError):
+        laplace_transform_check(mesh, s)
+
+
 def test_laplace_transform_identity_smoke(square_mesh_mid):
     out = laplace_transform_check(square_mesh_mid, -1.0)
     assert out["rhs"] == pytest.approx(out["lhs"], rel=0.02)
@@ -427,11 +449,31 @@ def test_heat_curve_dyadic_ladder(monkeypatch, horizon, steps, t_small):
     ticks = np.rint(np.diff(curve.times) / (horizon / m**2)).astype(int)
     assert np.all(ticks[:-1] & (ticks[:-1] - 1) == 0)
     assert np.all(np.diff(ticks[:-1]) >= 0)
-    # one factorization per step size, and one for the start-up Euler step
-    assert len(lus) == len(set(ticks)) + 1
+    # one factorization per system: the start-up Euler step, each BDF2
+    # rung, and the Euler step that cuts the last rung short. The cut step
+    # may share its size with a rung (256 at m = 400) or with the start-up
+    # step (4 at m = 50), so sizes alone do not count the systems
+    assert ticks[0] == 4
+    cut = bool(ticks[-1] < ticks[-2])
+    systems = 1 + len(set(ticks[1:len(ticks) - cut])) + cut
+    assert len(lus) == systems
     # the curve is memoized: a second call factorizes nothing
     assert fem._heat_curve(mesh, horizon, steps, t_small=t_small) is curve
-    assert len(lus) == len(set(ticks)) + 1
+    assert len(lus) == systems
+
+
+def test_heat_curve_keeps_bdf2_steps_below_half_over_e1():
+    # one decade up to the horizon: the dyadic ladder alone would reach
+    # dt E1 = 0.6, where the ground mode's BDF2 roots are complex and Q(t)
+    # oscillates in sign; the step stops growing at dt E1 <= 1/2 instead
+    mesh = generate_mesh(Domain.disk(1.0), 0.2)
+    horizon = fem._mesh_diameter(mesh) ** 2
+    curve = fem._heat_curve(mesh, horizon, 100, t_small=horizon / 2)
+    assert curve.times[-1] == horizon
+    assert np.all(np.diff(curve.values) < 0) and curve.values.min() > 0
+    # held back at the last rung below dt E1 = 1/2, and no further
+    dt_e1 = np.diff(curve.times).max() * fem.resolvent_model(mesh).e1
+    assert 0.25 < dt_e1 <= 0.5
 
 
 @pytest.fixture(scope="module")
@@ -480,6 +522,64 @@ def test_laplace_transform_identity_tight(heat_disk):
     for s in (-0.5, -1.0, -2.0):
         out = laplace_transform_check(mesh, s)
         assert abs(out["rhs"] / out["lhs"] - 1.0) <= 1e-3
+
+
+def test_heat_budget_on_a_fresh_disk(monkeypatch):
+    # heat content over the fit window, then the Laplace check at three
+    # shifts: one LU for the resolvent model, eight for the window ladder
+    # (start-up Euler, BDF2 rungs 4 to 128, a cut Euler step) and eight for
+    # the Laplace ladder stopped at 12 / E1 (start-up Euler, rungs 4 to
+    # 256), shared by the three shifts
+    lus, solves = [], []
+    original = fem.splu
+
+    class CountingLU:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, rhs):
+            solves.append(1)
+            return self._lu.solve(rhs)
+
+    def counting_splu(A, *args, **kwargs):
+        lus.append(A.shape)
+        return CountingLU(original(A, *args, **kwargs))
+
+    monkeypatch.setattr(fem, "splu", counting_splu)
+    mesh = generate_mesh(Domain.disk(1.0), 0.048)
+    fem.resolvent_model(mesh)
+    assert len(lus) == 1
+    model_solves = len(solves)
+    heat_content(mesh, _window(20))
+    for s in (-0.5, -1.0, -2.0):
+        laplace_transform_check(mesh, s)
+    assert len(lus) == 17
+    # one triangular solve per heat step
+    assert len(solves) - model_solves == 359
+
+
+@pytest.mark.parametrize("domain", [
+    Domain.disk(1.0), Domain.lshape(1.0, 1.0), Domain.annulus(1.0, 0.5),
+], ids=["disk", "lshape", "annulus"])
+def test_laplace_check_stop_matches_full_horizon(domain):
+    mesh = generate_mesh(domain, 0.048)
+    horizon = fem._mesh_diameter(mesh) ** 2
+    e1 = fem.resolvent_model(mesh).e1
+    full = fem._heat_curve(mesh, horizon, 100, t_small=1e-3 * horizon)
+    stopped = fem._heat_curve(mesh, horizon, 100, t_small=1e-3 * horizon,
+                              stop=fem._HEAT_TAIL_STOP / e1)
+    # the stop is the first tick at or past 12 / E1, well inside the horizon
+    n = len(stopped.times)
+    assert stopped.times[-2] < 12.0 / e1 <= stopped.times[-1] < horizon
+    # the stopped curve is the full one's prefix, bit for bit
+    assert np.array_equal(stopped.times, full.times[:n])
+    assert np.array_equal(stopped.values, full.values[:n])
+    for s in (-0.5, -1.0, -2.0):
+        weights = np.exp(s * full.times) * full.values
+        rhs = (np.trapezoid(weights, full.times)
+               + full.values[-1] * math.exp(s * horizon) / (e1 - s))
+        out = laplace_transform_check(mesh, s)
+        assert out["rhs"] == pytest.approx(rhs, rel=1e-6, abs=0.0)
 
 
 def test_dropped_mesh_is_freed_without_gc():
