@@ -607,7 +607,10 @@ def _heat_curve(mesh, horizon, steps_per_decade=100, t_small=None,
         return cached
     decades = 1
     if t_small and 0 < t_small < horizon:
-        decades = max(1, math.ceil(math.log10(horizon / t_small)))
+        ratio = horizon / t_small  # inf for a subnormal t_small
+        span = (math.log10(ratio) if ratio < math.inf
+                else math.log10(horizon) - math.log10(t_small))
+        decades = max(1, math.ceil(span))
     m = steps_per_decade * decades
     total = m * m  # the horizon in units of dt0
     dt0 = horizon / total

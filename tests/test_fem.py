@@ -378,6 +378,14 @@ def test_heat_content_validates_times(square_mesh_mid):
         heat_content(square_mesh_mid, [0.01, math.nan])
 
 
+def test_heat_content_takes_a_subnormal_time():
+    # horizon / t overflows to inf; the ladder then spans 325 decades
+    mesh = generate_mesh(Domain.disk(1.0), 0.2)
+    curve = heat_content(mesh, [5e-324, 0.5])
+    assert curve.values[0] == pytest.approx(mesh.area(), rel=1e-12)
+    assert 0 < curve.values[1] < curve.values[0]
+
+
 @pytest.mark.parametrize("steps", [0, -5, 2.5, math.nan, True, "100", None])
 def test_heat_options_reject_bad_steps_per_decade(square_mesh_mid, steps):
     with pytest.raises(GeometryError, match="steps_per_decade"):
