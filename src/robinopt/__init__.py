@@ -20,14 +20,11 @@ from .errors import (
     SpectralRangeError,
     UsageError,
 )
-from .geometry import Domain, DomainMetrics, Mesh, generate_mesh, metrics, parse_domain
+from .geometry import Domain, Mesh, generate_mesh, metrics, parse_domain
 from .specfun import corner_coefficient
 from .fem import (
-    Assembly,
     BoundaryFunction,
     FieldSolution,
-    HeatContentCurve,
-    SpectralResult,
     assemble,
     estimate_dirichlet_e1,
     heat_content,
@@ -45,8 +42,6 @@ from .optimizer import (
     solve_s_of_mu,
 )
 from .oracles import (
-    AsymptoticPrediction,
-    constant_sigma_bound_check,
     disk_F,
     disk_lambda_mu,
     disk_robin_lambda,
@@ -55,8 +50,6 @@ from .oracles import (
     small_mu_prediction,
 )
 from .verify import (
-    BlowupTrace,
-    CaseResult,
     SuiteReport,
     run_all_suites,
     run_asymptotic_suite,

@@ -7,8 +7,7 @@ every catalogue mesh. ``_ring_mesh`` joins concentric node rings: the disk
 and annulus with angular counts that grow with radius, regular polygons
 with the rings scaled onto shrunken copies of the polygon. ``_tensor_mesh``
 triangulates a graded tensor grid: the rectangle, and the L-shape as one
-grid over [0, 2a] x [0, 2b] without its upper-right quadrant. Imported
-polygons are ear-clipped and refined.
+grid over [0, 2a] x [0, 2b] without its upper-right quadrant.
 
 Boundary grading is geometric with ratio 0.5 per layer and at most 12
 layers, sized so the first layer is at most a quarter of the requested
@@ -42,7 +41,6 @@ class Domain:
 
     kind: str
     params: tuple = ()
-    vertices: tuple = ()  # only for kind == "polygon", ((x, y), ...)
 
     @classmethod
     def disk(cls, radius):
@@ -76,29 +74,7 @@ class Domain:
         return cls("lshape", (_length("L-shape arm a", a),
                               _length("L-shape arm b", b)))
 
-    @classmethod
-    def polygon(cls, vertices):
-        verts = tuple((_float(x), _float(y)) for x, y in vertices)
-        if not all(abs(c) <= _MAX_LENGTH for v in verts for c in v):
-            raise GeometryError(
-                f"polygon vertex coordinates must be finite, of magnitude "
-                f"at most {_MAX_LENGTH:g}"
-            )
-        if len(verts) < 3:
-            raise GeometryError("polygon needs at least 3 vertices")
-        if _signed_area(verts) <= 0:
-            verts = verts[::-1]
-        if not _signed_area(verts) >= _MIN_LENGTH**2:
-            raise GeometryError(
-                f"polygon must enclose an area of at least {_MIN_LENGTH**2:g}"
-            )
-        if not _is_simple_polygon(verts):
-            raise GeometryError("polygon must be simple (non-self-intersecting)")
-        return cls("polygon", (), verts)
-
     def __str__(self):
-        if self.kind == "polygon":
-            return f"polygon[{len(self.vertices)}]"
         return self.kind + ":" + ",".join(f"{p:g}" for p in self.params)
 
 
@@ -131,59 +107,6 @@ class DomainMetrics:
     corner_angles: tuple = ()
 
 
-def _signed_area(verts):
-    s = 0.0
-    n = len(verts)
-    for i in range(n):
-        x0, y0 = verts[i]
-        x1, y1 = verts[(i + 1) % n]
-        s += x0 * y1 - x1 * y0
-    return 0.5 * s
-
-
-def _segments_intersect(p, q, r, s):
-    def orient(a, b, c):
-        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if abs(v) < 1e-14:
-            return 0
-        return 1 if v > 0 else -1
-
-    o1, o2 = orient(p, q, r), orient(p, q, s)
-    o3, o4 = orient(r, s, p), orient(r, s, q)
-    return o1 != o2 and o3 != o4
-
-
-def _is_simple_polygon(verts):
-    n = len(verts)
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            c, d = verts[j], verts[(j + 1) % n]
-            if _segments_intersect(a, b, c, d):
-                return False
-    return True
-
-
-def _polygon_interior_angles(verts):
-    n = len(verts)
-    angles = []
-    for i in range(n):
-        prev = np.asarray(verts[i - 1])
-        cur = np.asarray(verts[i])
-        nxt = np.asarray(verts[(i + 1) % n])
-        u = prev - cur
-        v = nxt - cur
-        ang = math.atan2(v[1], v[0]) - math.atan2(u[1], u[0])
-        ang = ang % (2.0 * math.pi)
-        # interior is to the left of the CCW boundary; the angle from the
-        # outgoing to the incoming edge measured through the interior
-        ang = 2.0 * math.pi - ang
-        angles.append(ang)
-    return tuple(a for a in angles if abs(a - math.pi) > 1e-12)
-
-
 def metrics(domain):
     """Exact DomainMetrics for ``domain`` (closed form, never mesh-derived)."""
     kind = domain.kind
@@ -211,14 +134,6 @@ def metrics(domain):
         a, b = domain.params
         angles = (math.pi / 2,) * 5 + (3 * math.pi / 2,)
         return DomainMetrics(3 * a * b, 4 * (a + b), 0.0, angles)
-    if kind == "polygon":
-        verts = domain.vertices
-        area = _signed_area(verts)
-        perim = sum(
-            math.dist(verts[i], verts[(i + 1) % len(verts)])
-            for i in range(len(verts))
-        )
-        return DomainMetrics(area, perim, 0.0, _polygon_interior_angles(verts))
     raise GeometryError(f"unknown domain kind {kind!r}")
 
 
@@ -254,8 +169,9 @@ class Mesh:
         self.boundary_edges, self.boundary_weights, edge_tris = (
             self._extract_boundary())
         self.boundary_nodes = np.unique(self.boundary_edges)
-        self.h_boundary = self._boundary_height(edge_tris)
+        # a degenerate triangle or edge is refused before a height divides
         self._validate()
+        self.h_boundary = self._boundary_height(edge_tris)
 
     # -- derived quantities -------------------------------------------------
 
@@ -339,6 +255,10 @@ class Mesh:
             raise GeometryError(
                 f"triangle {int(bad[0])} has non-positive area {areas[bad[0]]:g}"
             )
+        # an edge shorter than about 1e-154 has a length that underflows
+        short = np.flatnonzero(self.boundary_weights <= 0)
+        if short.size:
+            raise GeometryError(f"boundary edge {int(short[0])} has zero length")
         # boundary edges must chain into closed loops: one successor per node
         tails = self.boundary_edges[:, 0]
         if len(np.unique(tails)) != len(tails):
@@ -388,7 +308,7 @@ class Mesh:
                             dtype=np.int64).reshape(t, 3)
             declared = np.array(vals[2 * n + 3 * t: 2 * n + 3 * t + 2 * b],
                                 dtype=np.int64).reshape(b, 2)
-        except ValueError:
+        except (ValueError, OverflowError):  # an index beyond int64 too
             raise GeometryError(f"mesh file {path} has a non-numeric entry")
         if not (np.abs(nodes) <= _MAX_LENGTH).all():  # NaN too
             raise GeometryError(f"mesh file {path} has a coordinate not "
@@ -631,210 +551,6 @@ def _lshape_mesh(a, b, h, layer_width, node_cap):
 
 
 # ---------------------------------------------------------------------------
-# imported polygons: ear clipping + refinement
-# ---------------------------------------------------------------------------
-
-def _ear_clip(verts):
-    """Triangulate a simple CCW polygon by ear clipping."""
-    idx = list(range(len(verts)))
-    pts = [np.asarray(v, float) for v in verts]
-    tris = []
-
-    def cross(o, p, q):
-        return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
-
-    def inside(p, a, b, c):
-        # inclusive: a vertex exactly on the closing edge must block the ear
-        d1 = cross(a, b, p)
-        d2 = cross(b, c, p)
-        d3 = cross(c, a, p)
-        return d1 >= -1e-13 and d2 >= -1e-13 and d3 >= -1e-13
-
-    guard = 0
-    while len(idx) > 3:
-        guard += 1
-        if guard > 10 * len(verts) ** 2:
-            raise GeometryError("ear clipping failed; polygon may be degenerate")
-        n = len(idx)
-        clipped = False
-        for k in range(n):
-            i0, i1, i2 = idx[k - 1], idx[k], idx[(k + 1) % n]
-            a, b, c = pts[i0], pts[i1], pts[i2]
-            if cross(a, b, c) <= 1e-14:
-                continue
-            if any(inside(pts[m], a, b, c) for m in idx
-                   if m not in (i0, i1, i2)):
-                continue
-            tris.append((i0, i1, i2))
-            idx.pop(k)
-            clipped = True
-            break
-        if not clipped:
-            raise GeometryError("ear clipping failed; polygon may be degenerate")
-    tris.append(tuple(idx))
-    return tris
-
-
-def _red_refine(nodes, tris):
-    """Split every triangle into four via edge midpoints."""
-    nodes = list(map(tuple, nodes))
-    node_id = {p: i for i, p in enumerate(nodes)}
-    mid_cache = {}
-
-    def midpoint(a, b):
-        key = (min(a, b), max(a, b))
-        if key not in mid_cache:
-            p = (
-                0.5 * (nodes[a][0] + nodes[b][0]),
-                0.5 * (nodes[a][1] + nodes[b][1]),
-            )
-            if p not in node_id:
-                node_id[p] = len(nodes)
-                nodes.append(p)
-            mid_cache[key] = node_id[p]
-        return mid_cache[key]
-
-    out = []
-    for i, j, k in tris:
-        m_ij = midpoint(i, j)
-        m_jk = midpoint(j, k)
-        m_ki = midpoint(k, i)
-        out.extend([
-            (i, m_ij, m_ki), (j, m_jk, m_ij), (k, m_ki, m_jk),
-            (m_ij, m_jk, m_ki),
-        ])
-    return nodes, out
-
-
-def _longest_edge_bisection(nodes, tris, size_of, node_cap):
-    """Rivara longest-edge bisection until every triangle meets its size."""
-    nodes = [tuple(p) for p in nodes]
-    tris = [tuple(t) for t in tris]
-
-    def longest_edge(t):
-        best = None
-        best_len = -1.0
-        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            d = math.dist(nodes[a], nodes[b])
-            if d > best_len:
-                best_len = d
-                best = (a, b)
-        return best, best_len
-
-    def centroid(t):
-        return (
-            (nodes[t[0]][0] + nodes[t[1]][0] + nodes[t[2]][0]) / 3.0,
-            (nodes[t[0]][1] + nodes[t[1]][1] + nodes[t[2]][1]) / 3.0,
-        )
-
-    for _ in range(200):
-        marked = [
-            i for i, t in enumerate(tris)
-            if longest_edge(t)[1] > size_of(centroid(t))
-        ]
-        if not marked:
-            break
-        # bisect by splitting the longest edge of every marked triangle;
-        # repeat with compatibility passes so hanging nodes vanish
-        split_edges = {}
-        for i in marked:
-            (a, b), _ = longest_edge(tris[i])
-            split_edges[(min(a, b), max(a, b))] = None
-        changed = True
-        while changed:
-            changed = False
-            for i, t in enumerate(tris):
-                for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-                    key = (min(a, b), max(a, b))
-                    if key in split_edges:
-                        (la, lb), _ = longest_edge(t)
-                        lkey = (min(la, lb), max(la, lb))
-                        if lkey not in split_edges:
-                            split_edges[lkey] = None
-                            changed = True
-        for key in split_edges:
-            a, b = key
-            p = (0.5 * (nodes[a][0] + nodes[b][0]),
-                 0.5 * (nodes[a][1] + nodes[b][1]))
-            split_edges[key] = len(nodes)
-            nodes.append(p)
-            if len(nodes) > node_cap:
-                raise MeshResourceError(
-                    f"bisection grading exceeded the node cap {node_cap}"
-                )
-        new_tris = []
-        stack = list(tris)
-        while stack:
-            t = stack.pop()
-            cut = [
-                (a, b) for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))
-                if (min(a, b), max(a, b)) in split_edges
-            ]
-            if not cut:
-                new_tris.append(t)
-                continue
-            (la, lb), _ = longest_edge(t)
-            if (min(la, lb), max(la, lb)) not in split_edges:
-                la, lb = cut[0]
-            mid = split_edges[(min(la, lb), max(la, lb))]
-            other = [v for v in t if v not in (la, lb)][0]
-            pos = t.index(la)
-            if t[(pos + 1) % 3] == lb:
-                stack.append((la, mid, other))
-                stack.append((mid, lb, other))
-            else:
-                stack.append((lb, mid, other))
-                stack.append((mid, la, other))
-        tris = new_tris
-    return nodes, tris
-
-
-def _polygon_mesh(verts, h, layer_width, node_cap):
-    nodes = [tuple(v) for v in verts]
-    tris = _ear_clip(nodes)
-
-    def max_edge(ns, ts):
-        return max(
-            math.dist(ns[a], ns[b])
-            for t in ts
-            for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))
-        )
-
-    while max_edge(nodes, tris) > h:
-        nodes, tris = _red_refine(nodes, tris)
-        if len(nodes) > node_cap:
-            raise MeshResourceError(
-                f"polygon refinement exceeded the node cap {node_cap}"
-            )
-    if layer_width > 0:
-        ladder = _grading_ladder(h, layer_width)
-        if ladder:
-            hb = ladder[0]
-            segs = [
-                (np.asarray(verts[i], float),
-                 np.asarray(verts[(i + 1) % len(verts)], float))
-                for i in range(len(verts))
-            ]
-
-            def dist_to_boundary(p):
-                p = np.asarray(p)
-                best = math.inf
-                for a, b in segs:
-                    ab = b - a
-                    t = np.clip(np.dot(p - a, ab) / np.dot(ab, ab), 0.0, 1.0)
-                    best = min(best, float(np.linalg.norm(p - (a + t * ab))))
-                return best
-
-            def size_of(p):
-                return max(hb, min(h, 0.5 * dist_to_boundary(p)))
-
-            nodes, tris = _longest_edge_bisection(nodes, tris, size_of,
-                                                  node_cap)
-    return Mesh(np.array(nodes), np.array(tris), h,
-                boundary_layer_width=layer_width)
-
-
-# ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
@@ -862,14 +578,10 @@ def generate_mesh(domain, target_h, boundary_layer_width=0.0,
         "rectangle": _rectangle_mesh, "ngon": _ngon_mesh,
         "lshape": _lshape_mesh,
     }
-    if domain.kind == "polygon":
-        mesh = _polygon_mesh(domain.vertices, target_h, boundary_layer_width,
-                             node_cap)
-    elif domain.kind in builders:
-        mesh = builders[domain.kind](*domain.params, target_h,
-                                     boundary_layer_width, node_cap)
-    else:
+    if domain.kind not in builders:
         raise GeometryError(f"unknown domain kind {domain.kind!r}")
+    mesh = builders[domain.kind](*domain.params, target_h,
+                                 boundary_layer_width, node_cap)
     if len(mesh.boundary_nodes) == len(mesh.nodes):
         raise GeometryError(
             f"{domain} at spacing {target_h:g} gives a mesh with no interior "

@@ -153,7 +153,7 @@ def predict_lambda(domain):
             regime=REGIME_SMOOTH,
             remainder_order="O(1)",
         )
-    if domain.kind in ("rectangle", "ngon", "lshape", "polygon"):
+    if domain.kind in ("rectangle", "ngon", "lshape"):
         return AsymptoticPrediction(
             leading=-1.0 / p2,
             subleading=2.0 * corner_sum(m.corner_angles) / p2,

@@ -380,9 +380,10 @@ _SQUARE_MESH = ("5 4 4\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n"
     ("2 3\n3 0\n", "2 3\n3 1\n"),
     # boundary edge 3-0 dropped, with its count
     (_SQUARE_MESH, _SQUARE_MESH.replace("5 4 4", "5 4 3")[:-len("3 0\n")]),
+    ("0 1 4\n", "99999999999999999999 1 4\n"),
 ], ids=["non-integer header", "index >= N", "negative index",
         "NaN coordinate", "no interior node", "wrong boundary edge",
-        "dropped boundary edge"])
+        "dropped boundary edge", "index beyond int64"])
 def test_malformed_mesh_file_is_clean_error(tmp_path, capsys, good, bad):
     assert good in _SQUARE_MESH
     path = tmp_path / "bad.mesh"

@@ -8,7 +8,6 @@ from scipy.special import i0
 from robinopt import (
     Domain,
     GeometryError,
-    constant_sigma_bound_check,
     corner_coefficient,
     disk_F,
     disk_lambda_mu,
@@ -17,6 +16,7 @@ from robinopt import (
     predict_lambda,
     small_mu_prediction,
 )
+from robinopt.oracles import constant_sigma_bound_check
 
 
 def disk_F_by_quadrature(s):
