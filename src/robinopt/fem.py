@@ -7,14 +7,13 @@ pencil per mesh built from one factorization at the pole 0 (and one at
 energy E1; solves (-Lap - s) u = 1, zero on the boundary, by the model's
 Galerkin solution wherever its residual certifies it, and a direct solve
 elsewhere; recovers boundary fluxes variationally; computes principal
-Robin eigenvalues by inverse iteration at one shift, one factorization
-per solve and none when the start vector already meets the residual
-tolerance, with a Lanczos shift-invert fallback; and time-steps the
-Dirichlet heat equation for the heat content by one implicit-Euler
-start-up step and BDF2 on a dyadic step ladder, one factorization per
-system met. The Laplace check of the heat curve stops stepping at 12 / E1
-and closes the tail with the ground mode, which misses at most e^-12 of
-|Omega| / (E1 - s).
+Robin eigenvalues by block-one LOBPCG, mostly with one factorization per
+solve and none when the start already meets the residual tolerance; and
+time-steps the Dirichlet heat equation for the heat content by one
+implicit-Euler start-up step and BDF2 on a dyadic step ladder, one
+factorization per system met. The Laplace check of the heat curve stops
+stepping at 12 / E1 and closes the tail with the ground mode, which misses
+at most e^-12 of |Omega| / (E1 - s).
 
 Every sparse LU goes through ``_factorize``: SuperLU with a symmetric
 minimum-degree ordering and diagonal pivots, which suits these symmetric
@@ -37,9 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-# cg is not called here; it stays bound because the benchmark tracer and
-# the tests patch and count fem.cg by name
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, cg, eigsh, splu
+from scipy.linalg.lapack import dsygv
+# cg and eigsh are not called here; they stay bound because the benchmark
+# tracer (and some tests) patch and count fem.cg and fem.eigsh by name
+from scipy.sparse.linalg import cg, eigsh, splu
 
 from .errors import (
     BoundaryLayerWarning,
@@ -76,11 +76,16 @@ class BoundaryFunction:
     """Piecewise-linear function on boundary nodes with a lumped integral."""
 
     def __init__(self, mesh, values):
-        values = np.asarray(values, dtype=float)
-        if len(values) != len(mesh.boundary_nodes):
+        try:
+            values = np.asarray(values, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise GeometryError("boundary values must be numbers") from None
+        if values.shape != (len(mesh.boundary_nodes),):
             raise GeometryError(
                 "boundary values must align with mesh.boundary_nodes"
             )
+        if not np.isfinite(values).all():
+            raise GeometryError("boundary values must be finite")
         self.mesh = mesh
         self.values = values
 
@@ -189,8 +194,8 @@ class Assembly:
         d_i is sigma_i times the boundary measure around node i, and 0 at
         interior nodes. B v is d * v.
         """
-        if sigma.mesh is not self.mesh:
-            raise GeometryError("boundary function belongs to another mesh")
+        if getattr(sigma, "mesh", None) is not self.mesh:
+            raise GeometryError("sigma is not a BoundaryFunction on this mesh")
         d = np.zeros(len(self.mesh.nodes))
         d[self.boundary] = sigma.values * self.boundary_node_weights
         return d
@@ -361,10 +366,10 @@ def resolvent_model(mesh):
     M-orthonormalize each new vector against all before it, projecting with
     the stored products M Q, so a vector costs one M-product, which is the
     right-hand side of the next solve. K is projected on the basis; the
-    eigenpairs of that small matrix give the model. Pole 0 comes last: while
-    its factors are live, inverse iteration on the Dirichlet pencil, started
-    from the lowest Ritz vector, gives the ground energy E1, in few steps or
-    none. No factorization outlives the build.
+    eigenpairs of that small matrix give the model. Pole 0 comes last: its
+    factors precondition LOBPCG (``_ground_pair``) on the Dirichlet pencil
+    from the lowest Ritz vector, which gives the ground energy E1 in few
+    steps or none. No factorization outlives the build.
     """
     asm = assemble(mesh)
     if asm.model is not None:
@@ -398,8 +403,8 @@ def resolvent_model(mesh):
     T = Q.T @ (K @ Q)
     ritz, Y = np.linalg.eigh(0.5 * (T + T.T))
     V = Q @ Y
-    e1 = _inverse_iteration(K, M, 0.0, V[:, 0].copy(), 1e-8 * ritz[0],
-                            lu=lu)[0]
+    e1 = _ground_pair(K, M, np.zeros(len(m1)), V[:, 0], 1e-8 * ritz[0], 0.0,
+                      0.0, lu)[0]
     asm.model = ResolventModel(ritz, V, V.T @ m1, e1)
     return asm.model
 
@@ -430,140 +435,125 @@ def estimate_dirichlet_e1(mesh):
 def robin_principal_eigenvalue(mesh, sigma, tol=1e-8, v0=None):
     """Principal eigenvalue of the Robin problem with parameter ``sigma``.
 
-    Solves (K + B(sigma)) u = lambda M u for its smallest eigenvalue by
-    inverse iteration with one factorization at a fixed shift. Without
-    ``v0`` the shift sits below the spectrum by the square of the largest
-    negative parameter value and the iteration starts from the constants.
-    A warm start ``v0`` is both the starting vector and the source of the
-    shift, which sits just below its Rayleigh quotient. K + B is applied as
-    K v + d * v, d the diagonal of B, and a sparse matrix is built only to
-    be factorized: a start that already meets the residual tolerance is
-    taken as it is, after 0 iterations and with no matrix built. The
-    minimizer u_mu of ``optimizer.optimize`` is such a start for sigma_mu,
-    and so are the constants for sigma = 0. If
-    the iteration stalls or ends on a mode that is not sign-definite (a
-    higher mode was caught, or given as the start), a Lanczos
-    shift-and-invert solve takes over, lowering its shift until no lower
-    eigenvalue appears, with a hard error after 5 retries.
-
-    The returned eigenfunction is positive and M-normalized; the residual
-    norm ||(K + B - lambda M) u|| is at most ``tol``.
+    Solves (K + B(sigma)) u = lambda M u for its least eigenvalue with
+    ``_ground_pair``. Without ``v0`` the start is the constants and the
+    shift -1.5 max(-sigma)^2 - 1. A ``v0`` is the start, with the shift just
+    below its Rayleigh quotient, unless it changes sign: then the solve
+    starts cold. A start that meets ``tol`` is returned after 0 iterations
+    with no matrix built, as u_mu is for sigma_mu and the constants are for
+    sigma = 0. The eigenfunction is M-normalized with a positive mean, and
+    its residual is at most ``tol``. It is positive where the discrete
+    ground state is; a concentrated sigma can make that state change sign,
+    and it is then returned as it is. ``SolverError`` for a ``tol`` not
+    finite and positive, or after 200 iterations; ``GeometryError`` for a
+    sigma too large to square or a bad ``v0``.
     """
+    _check_tol(tol)
     asm = assemble(mesh)
     d = asm.boundary_diagonal(sigma)
     sigma_neg_max = max(0.0, float(-sigma.values.min()))
-    tau = -1.5 * sigma_neg_max**2 - 1.0
-    total_iters = 0
-
-    def _finish(lam, v, resid, iters):
-        if v @ asm.mass_times_one < 0:
-            v = -v
-        return SpectralResult(
-            lam, FieldSolution(mesh, v, TAG_EIGENFUNCTION), resid, iters
-        )
-
-    # fast path: inverse iteration at the a-priori or warm-start shift;
-    # accept only a sign-definite mode, which certifies the ground state
-    if v0 is None:
-        v, shift = np.ones(len(mesh.nodes)), tau
-    else:
-        v, shift = np.array(v0, dtype=float), None
-    try:
-        lam, v, resid, iters = _inverse_iteration(asm.K, asm.M, shift, v, tol, d)
-        total_iters += iters
-        if v @ asm.mass_times_one < 0:
-            v = -v
-        if v.min() >= -1e-6 * v.max():
-            return _finish(lam, v, resid, total_iters)
-    except SolverError:
-        pass
-
-    # robust path: Lanczos shift-invert, descending the shift until the
-    # smallest eigenvalue found is stable (no lower one appears). Extreme
-    # concentrated parameters can have sign-indefinite discrete ground
-    # states, so minimality is confirmed by shift descent instead.
-    A = asm.K + sparse.diags(d)
-    best = None
-    for _ in range(5):
+    tau = -1.5 * sigma_neg_max * sigma_neg_max - 1.0
+    if not math.isfinite(tau):
+        raise GeometryError(f"sigma {-sigma_neg_max:g} is too large to square")
+    v, shift = np.ones(len(mesh.nodes)), tau
+    if v0 is not None:
         try:
-            cand = _lanczos_ground(A, asm.M, tau, tol)
-            total_iters += cand[3]
-        except SolverError:
-            tau = 2.0 * tau - 1.0
-            continue
-        if best is None or cand[0] < best[0] - 1e-9 * (1.0 + abs(best[0])):
-            best = cand
-            tau = 2.0 * tau - 1.0
-            continue
-        return _finish(best[0], best[1], best[2], total_iters)
-    if best is not None:
-        return _finish(best[0], best[1], best[2], total_iters)
-    raise SolverError(
-        "Robin eigensolver failed to certify a ground pair after 5 shift "
-        "retries"
-    )
+            v0 = np.array(v0, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise GeometryError("v0 must be an array of numbers") from None
+        if v0.shape != v.shape or not np.isfinite(v0).all() or not v0.any():
+            raise GeometryError(f"v0 needs {len(v)} finite numbers, not all 0")
+        if v0 @ asm.mass_times_one < 0:
+            v0 = -v0
+        if v0.min() >= -1e-6 * v0.max():
+            v, shift = v0, None
+    # lambda >= 4 min(d / m, 0), m the lumped masses: K >= 0, M >= diag(m) / 4
+    floor = 4.0 * min(0.0, float((d / asm.mass_times_one).min()))
+    lam, v, resid, its = _ground_pair(asm.K, asm.M, d, v, tol, shift, floor)
+    v = v if v @ asm.mass_times_one > 0 else -v
+    return SpectralResult(lam, FieldSolution(mesh, v, TAG_EIGENFUNCTION),
+                          resid, its)
 
 
-def _lanczos_ground(A, M, tau, tol):
-    try:
-        # fixed start vector keeps repeated runs byte-identical
-        vals, vecs = eigsh(
-            A.tocsc(), k=1, M=M.tocsc(), sigma=tau, which="LM",
-            tol=1e-12, maxiter=10000, v0=np.ones(A.shape[0]),
-        )
-    except (ArpackError, ArpackNoConvergence, RuntimeError) as exc:
-        raise SolverError(f"Lanczos shift-invert failed at {tau:g}: {exc}")
-    v = vecs[:, 0]
-    v /= math.sqrt(abs(v @ (M @ v)))
-    Av, Mv = A @ v, M @ v
-    rho = float(v @ Av) / float(v @ Mv)
-    resid = float(np.linalg.norm(Av - rho * Mv))
-    if resid > tol:
-        raise SolverError(
-            f"Lanczos ground pair residual {resid:g} above {tol:g}",
-            residual=resid,
-        )
-    return rho, v, resid, 1
+def _ground_pair(K, M, d, v, tol, shift, floor, lu=None):
+    """Lowest eigenpair of (K + diag(d), M) by block-one LOBPCG from ``v``.
 
-
-def _inverse_iteration(K, M, shift, v, tol, d=0.0, lu=None):
-    """Inverse iteration v <- (A - shift M)^-1 M v, M-normalized.
-
-    A = K + diag(d) is applied as K v + d * v. The stopping rule is tested
-    on the start vector first: if its Rayleigh-quotient residual
-    ||A v - rho M v|| is already at most ``tol``, it is returned after 0
-    steps and nothing is built or factorized (one step from an eigenvector
-    would only rescale it). Otherwise one factorization of A - shift M, or
-    the given factors ``lu``, serves every step; a ``shift`` of None means
-    rho - 0.05 (1 + |rho|) for the start's rho. Returns (rho, v, residual,
-    steps); raises ``SolverError`` after 200 steps.
+    Rayleigh-Ritz on the M-normalized iterate x, the preconditioned residual
+    T r and the last step (Knyazev, SIAM J. Sci. Comput. 23(2), 2001), with
+    T = (A - shift M)^-1 factorized once, or the given ``lu``. A start that
+    meets ``tol`` is returned after 0 steps, with nothing built. A ``shift``
+    of None or above rho is reset to rho - 0.05 (1 + |rho|); after 15 steps
+    at one shift it moves up to rho - 2 ||r||_{M^-1} if that is higher. Above
+    the least eigenvalue T is indefinite, and a higher mode can stop the
+    iteration: a converged x that changes sign, from a shift above the lower
+    bound ``floor``, restarts it from the constants below ``floor``. Returns
+    (rho, x, residual, steps); ``SolverError`` after 200 steps.
     """
-    Mv = M @ v
+    n = len(v)
+    S, AS, MS = (np.empty((n, 3), order="F") for _ in range(3))
+    S[:, 0] = v
+    x, w = S[:, 0], S[:, 1]
+    k, held, restarted = 2, 0, False  # k: columns in use, x w and then p
     for it in range(201):
-        if it == 1 and lu is None:
-            if shift is None:
-                shift = rho - 0.05 * (1.0 + abs(rho))
+        Mx = M @ x
+        norm = math.sqrt(x @ Mx)
+        if not 0.0 < norm < math.inf:
+            raise SolverError("eigen iteration produced a bad vector")
+        x /= norm
+        Mx /= norm
+        Ax = K @ x + d * x
+        rho = float(x @ Ax)
+        r = Ax - rho * Mx
+        resid = float(np.linalg.norm(r))
+        if resid <= tol:
+            u = x if Mx.sum() > 0 else -x
+            if (restarted or u.min() >= -1e-6 * u.max()
+                    or (shift is not None and shift <= floor)):
+                return rho, x.copy(), resid, it
+            x[:] = 1.0  # perhaps a higher mode: start again below floor
+            k, held, restarted, lu = 2, 0, True, None
+            shift = floor - 0.05 * (1.0 + abs(floor))
+            continue
+        if it == 200:
+            break
+        if shift is None or rho < shift:
+            shift, lu, held = rho - 0.05 * (1.0 + abs(rho)), None, 0
+        elif held >= 15:  # a near shift separates clustered low modes
+            # by M <= diag(m) <= 4 M for the lumped masses m = M 1
+            near = rho - 4.0 * math.sqrt(r @ (r / (M @ np.ones(n))))
+            if near > shift:
+                shift, lu, held = near, None, 0
+        if lu is None:
             try:
                 lu = _factorize(K + sparse.diags(d) - shift * M)
             except RuntimeError as exc:
                 raise SolverError(
                     f"factorization failed at shift {shift:g}: {exc}")
-        if it:
-            v = lu.solve(Mv)
-            Mv = M @ v
-        norm = math.sqrt(v @ Mv)
-        if not math.isfinite(norm) or norm == 0.0:
-            raise SolverError("inverse iteration produced a bad vector")
-        v /= norm
-        Mv /= norm
-        Av = K @ v + d * v
-        rho = float(v @ Av)
-        resid = float(np.linalg.norm(Av - rho * Mv))
-        if resid <= tol:
-            return rho, v, resid, it
-    raise SolverError(
-        f"inverse iteration stalled at residual {resid:g}", residual=resid
-    )
+        held += 1
+        w[:] = lu.solve(r)
+        w -= (Mx @ w) * x
+        Mw = M @ w
+        norm = math.sqrt(w @ Mw)
+        w /= norm
+        AS[:, 0], AS[:, 1] = Ax, K @ w + d * w
+        MS[:, 0], MS[:, 1] = Mx, Mw / norm
+        G_A = S[:, :k].T @ AS[:, :k]
+        G_M = S[:, :k].T @ MS[:, :k]
+        # p (nearly) in the span of x and w, which are M-orthonormal: drop it
+        if k == 3 and G_M[0, 2]**2 + G_M[1, 2]**2 > 1.0 - 1e-12:
+            k, G_A, G_M = 2, G_A[:2, :2], G_M[:2, :2]
+        y, info = dsygv(G_A, G_M)[1:]
+        if info:
+            raise SolverError("eigen iteration lost its Rayleigh-Ritz basis")
+        # the step p = w y1 + p y2, kept M-normalized, and x <- x y0 + p
+        y = y[:, 0] / math.sqrt(y[1:, 0] @ G_M[1:, 1:] @ y[1:, 0])
+        for block in (S, AS, MS):
+            block[:, 2] = block[:, 1:k] @ y[1:]
+        x *= y[0]
+        x += S[:, 2]
+        k = 3
+    raise SolverError(f"eigen iteration stalled at residual {resid:g}",
+                      residual=resid)
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +640,13 @@ def _heat_curve(mesh, horizon, steps_per_decade=100, t_small=None,
     )
     asm._heat_cache[key] = curve
     return curve
+
+
+def _check_tol(tol):
+    """``SolverError`` unless ``tol`` is a finite positive number."""
+    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+            or not 0 < tol < math.inf):
+        raise SolverError(f"tolerance {tol!r} is not finite and positive")
 
 
 def _check_steps_per_decade(steps_per_decade):

@@ -319,7 +319,10 @@ class Mesh:
             if ids.size and (ids.min() < 0 or ids.max() >= n):
                 raise GeometryError(f"mesh file {path} has a {what} index "
                                     f"outside [0, {n})")
-        mesh = cls(nodes, tris, _median_edge_length(nodes, tris))
+        try:
+            mesh = cls(nodes, tris, _median_edge_length(nodes, tris))
+        except GeometryError as exc:
+            raise GeometryError(f"mesh file {path}: {exc}") from None
         if len(mesh.boundary_nodes) == n:
             raise GeometryError(f"mesh file {path} has no interior node")
         if (b != len(mesh.boundary_edges)

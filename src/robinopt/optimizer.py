@@ -137,8 +137,7 @@ def solve_s_of_mu(mesh, mu, tol=None):
     mu = float(mu)
     if tol is None:
         tol = default_tol(mu)
-    if tol <= 0:
-        raise SolverError("tolerance must be positive")
+    fem._check_tol(tol)
     if mu == 0.0:
         return 0.0, 0
     model = fem.resolvent_model(mesh)

@@ -6,6 +6,8 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from robinopt import (
     BoundaryFunction,
@@ -24,7 +26,7 @@ from robinopt import (
     robin_principal_eigenvalue,
     solve_resolvent,
 )
-from robinopt import fem
+from robinopt import fem, verify
 from robinopt.errors import BoundaryLayerWarning
 
 # frozen disk references (series/continued-fraction oracles)
@@ -209,25 +211,20 @@ def test_robin_eigen_matches_dense_reference(monkeypatch, disk_mesh_coarse,
     asm = assemble(mesh)
     K, M = asm.K.toarray(), asm.M.toarray()
     lanczos = []
-    original = fem.eigsh
 
-    def counting_eigsh(*args, **kwargs):
+    def no_eigsh(*args, **kwargs):
         lanczos.append(1)
-        return original(*args, **kwargs)
+        raise AssertionError("fem.eigsh was called")
 
-    monkeypatch.setattr(fem, "eigsh", counting_eigsh)
-    took_lanczos = set()
+    monkeypatch.setattr(fem, "eigsh", no_eigsh)
     for name, values in cases.items():
         sigma = BoundaryFunction(mesh, values)
         A = K + np.diag(asm.boundary_diagonal(sigma))
         ref = scipy.linalg.eigh(A, M, subset_by_index=[0, 0],
                                 eigvals_only=True)[0]
         for v0 in (None, res.u_mu.values):
-            before = len(lanczos)
             out = robin_principal_eigenvalue(
                 mesh, sigma, v0=None if v0 is None else v0.copy())
-            if len(lanczos) > before:
-                took_lanczos.add(name)
             lam, v = out.eigenvalue, out.eigenfunction.values
             label = (name, "warm" if v0 is not None else "cold")
             assert abs(lam - ref) <= 1e-9 * abs(ref), label
@@ -235,8 +232,8 @@ def test_robin_eigen_matches_dense_reference(monkeypatch, disk_mesh_coarse,
             assert out.residual_norm <= 1e-8, label
             assert v @ (M @ v) == pytest.approx(1.0, abs=1e-10), label
             assert v.min() >= -1e-6 * v.max(), label
-    # both paths are covered: the blow-up family takes the fallback
-    assert took_lanczos and took_lanczos != set(cases), took_lanczos
+    # one eigen path: no Lanczos solve is made
+    assert not lanczos
 
 
 def test_robin_eigen_warm_start_one_factorization(monkeypatch,
@@ -293,7 +290,8 @@ def test_robin_eigen_converged_warm_start_needs_no_factorization(
 def test_robin_eigen_converged_higher_mode_is_rejected(disk_mesh_coarse,
                                                        eigen_cases):
     # a start that is already an eigenvector, but of the second mode, passes
-    # the residual test at once; its sign change must send it to Lanczos
+    # the residual test at once; its sign change must make the solve start
+    # cold
     mesh = disk_mesh_coarse
     _, cases = eigen_cases
     asm = assemble(mesh)
@@ -306,6 +304,69 @@ def test_robin_eigen_converged_higher_mode_is_rejected(disk_mesh_coarse,
         assert abs(out.eigenvalue - vals[0]) <= 1e-9 * abs(vals[0]), name
         v = out.eigenfunction.values
         assert v.min() >= -1e-6 * v.max(), name
+
+
+@pytest.mark.parametrize("domain", [Domain.rectangle(1.0, 1.0),
+                                    Domain.rectangle(1.0, 2.0),
+                                    Domain.lshape()],
+                         ids=["square", "rect 1x2", "lshape"])
+def test_robin_eigen_cold_start_finds_corner_ground_state(domain):
+    # right-angle corners bind states near -2 sigma^2, below the cold
+    # preconditioner shift -1.5 sigma^2 - 1; the ground state is still found
+    mesh = generate_mesh(domain, 0.03, 0.12)
+    asm = assemble(mesh)
+    for value in (-2.0, -5.0, -10.0, -15.0, -20.0, -30.0):
+        sigma = BoundaryFunction.constant(mesh, value)
+        A = (asm.K + scipy.sparse.diags(asm.boundary_diagonal(sigma))).tocsc()
+        ref = scipy.sparse.linalg.eigsh(
+            A, k=2, M=asm.M.tocsc(), sigma=-4.0 * value**2 - 10.0,
+            which="LM", tol=1e-14, v0=np.ones(len(mesh.nodes)),
+            return_eigenvectors=False).min()
+        out = robin_principal_eigenvalue(mesh, sigma)
+        assert abs(out.eigenvalue - ref) <= 1e-10 * abs(ref), value
+        assert out.residual_norm <= 1e-8, value
+
+
+def _dense_ground(mesh, sigma):
+    asm = assemble(mesh)
+    A = asm.K.toarray() + np.diag(asm.boundary_diagonal(sigma))
+    vals, vecs = scipy.linalg.eigh(A, asm.M.toarray(), subset_by_index=[0, 0])
+    return vals[0], vecs[:, 0]
+
+
+def test_robin_eigen_sign_changing_ground_state_is_returned():
+    # all of -100 on the 3 boundary nodes within 2^-3 of (1, 0): the
+    # discrete ground state changes sign, and is returned as it is
+    mesh = generate_mesh(Domain.disk(1.0), 0.1)
+    sigma = BoundaryFunction(mesh, _blowup_sigma(mesh, -100.0, 3))
+    asm = assemble(mesh)
+    ref, u = _dense_ground(mesh, sigma)
+    u = u if u @ asm.mass_times_one > 0 else -u
+    assert u.min() < -0.3 * u.max()
+    for v0 in (None, np.ones(len(mesh.nodes))):
+        out = robin_principal_eigenvalue(mesh, sigma, v0=v0)
+        v = out.eigenfunction.values
+        assert abs(out.eigenvalue - ref) <= 1e-10 * abs(ref)
+        assert out.residual_norm <= 1e-8
+        assert v @ asm.mass_times_one > 0
+        assert np.abs(v - u).max() <= 1e-6 * np.abs(u).max()
+
+
+def test_robin_eigen_cold_start_on_strong_perturbations():
+    # zero-mean perturbations of 0.5 to 2 max|sigma_mu| around sigma_mu put
+    # the cold shift far below lambda_1; the solve still ends in few steps
+    mesh = verify.mesh_for(Domain.rectangle(1.0, 1.0), -20.0, 0.05)
+    res = optimize(mesh, -20.0)
+    scale = np.abs(res.sigma_mu.values).max()
+    for amp, eta in verify.zero_mean_perturbations(mesh, 4, 5,
+                                                   (0.5, 1.0, 1.5, 2.0)):
+        sigma = BoundaryFunction(mesh, res.sigma_mu.values
+                                 + amp * scale * eta)
+        ref = _dense_ground(mesh, sigma)[0]
+        out = robin_principal_eigenvalue(mesh, sigma)
+        assert abs(out.eigenvalue - ref) <= 1e-10 * abs(ref), amp
+        assert out.residual_norm <= 1e-8, amp
+        assert out.iterations <= 100, amp
 
 
 @pytest.mark.parametrize("domain", [Domain.disk(1.0), Domain.lshape(),
