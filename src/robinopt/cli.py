@@ -61,6 +61,14 @@ def _finite_float(text):
     return value
 
 
+def _positive_float(text):
+    """argparse type: a finite float above zero."""
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
+    return value
+
+
 def _int_in(lo, hi, what):
     """argparse type: an integer from ``lo`` to ``hi``, else ``what``."""
     def parse(text):
@@ -172,8 +180,8 @@ def cmd_sweep(args):
 
 def cmd_heat_content(args):
     domain, mesh = _resolve_mesh(args)
-    t_lo = args.t_from if args.t_from else 25.0 * args.h**2
-    t_hi = args.t_to if args.t_to else 100.0 * args.h**2
+    t_lo = 25.0 * args.h**2 if args.t_from is None else args.t_from
+    t_hi = 100.0 * args.h**2 if args.t_to is None else args.t_to
     times = np.geomspace(t_lo, t_hi, args.t_count)
     curve = fem.heat_content(mesh, times)
     lines = ["t,Q"]
@@ -187,26 +195,12 @@ def cmd_verify(args):
     if args.domain.startswith("mesh:"):
         raise UsageError("verification suites need a catalogue domain")
     domain = geometry.parse_domain(args.domain)
-    if args.suite == "optimality":
-        reports = [verify.run_optimality_suite(
-            domain, args.mu, samples=args.samples, seed=args.seed, h=args.h
-        )]
-    elif args.suite == "asymptotic":
-        grid = (np.linspace(-200.0, -20.0, 10) if domain.kind == "disk"
-                else np.linspace(-24.0, -8.0, 5))
-        reports = [verify.run_asymptotic_suite(domain, list(grid),
-                                               h=max(args.h, 0.015))]
-    elif args.suite == "heat":
-        reports = [verify.run_heat_content_suite(domain, h=args.h)]
-    elif args.suite == "blowup":
-        # the early-n trace is monotone for the unit constraint; larger
-        # magnitudes shift the divergence beyond the resolvable range
-        reports = [verify.run_blowup_suite(domain, mu=-1.0)]
+    if args.suite == "all":
+        reports = verify.run_all_suites(domain, args.mu, args.samples,
+                                        args.seed, args.h)
     else:
-        reports = verify.run_all_suites(
-            domain, mu=args.mu, samples=args.samples, seed=args.seed,
-            h=args.h,
-        )
+        reports = [verify._suite_runs(domain, args.mu, args.samples,
+                                      args.seed, args.h)[args.suite]()]
     all_pass = all(r.passed for r in reports)
     if args.format == "table":
         text = "\n\n".join(r.to_table() for r in reports) + "\n"
@@ -287,14 +281,15 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mu_default=None):
+    def common(p, formats=(), mu_default=None, spacing=True):
         p.add_argument("--domain", default="disk:1",
                        help="disk:R | annulus:R,r | rect:a,b | ngon:n,R | "
                             "lshape | mesh:PATH")
-        p.add_argument("--h", type=_finite_float, default=0.02,
-                       help="target interior mesh spacing")
-        p.add_argument("--format", choices=("table", "json", "csv"),
-                       default="table")
+        if spacing:
+            p.add_argument("--h", type=_finite_float, default=0.02,
+                           help="target interior mesh spacing")
+        if formats:
+            p.add_argument("--format", choices=formats, default="table")
         p.add_argument("--output", default=None,
                        help="write to a file instead of standard output")
         if mu_default is not None:
@@ -302,7 +297,7 @@ def build_parser():
                            help="boundary integral constraint value")
 
     p = sub.add_parser("optimize", help="single constrained optimization")
-    common(p, mu_default=-10.0)
+    common(p, ("table", "json", "csv"), mu_default=-10.0)
     p.add_argument("--tol", type=_finite_float, default=None)
     p.add_argument("--dump-sigma", default=None, metavar="PATH",
                    help="write the boundary profile as arc_length,sigma CSV")
@@ -320,14 +315,21 @@ def build_parser():
 
     p = sub.add_parser("heat-content", help="heat content curve as CSV")
     common(p)
-    p.add_argument("--t-from", type=_finite_float, default=None)
-    p.add_argument("--t-to", type=_finite_float, default=None)
+    p.add_argument("--t-from", type=_positive_float, default=None,
+                   help="first output time (default 25 h^2)")
+    p.add_argument("--t-to", type=_positive_float, default=None,
+                   help="last output time (default 100 h^2)")
     p.add_argument("--t-count", type=_count, default=20,
                    help=f"output times, 1 to {_COUNT_MAX}")
     p.set_defaults(func=cmd_heat_content)
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    common(p, mu_default=-10.0)
+    p = sub.add_parser(
+        "verify", help="run a verification suite",
+        description="Alone or in --suite all, the optimality suite runs at "
+                    "--h, the asymptotic suite at max(--h, 0.015), the "
+                    "heat suite at max(--h, 0.02) and the blow-up suite "
+                    "at 0.1.")
+    common(p, ("table", "json"), mu_default=-10.0)
     p.add_argument("--suite", default="all", choices=(
         "optimality", "asymptotic", "heat", "blowup", "all"))
     p.add_argument("--samples", type=_count, default=100,
@@ -344,16 +346,18 @@ def build_parser():
     p.set_defaults(func=cmd_corner_coeff)
 
     p = sub.add_parser("oracle", help="closed-form reference values")
-    common(p)
+    common(p, ("table", "json"), spacing=False)
     p.add_argument("--s", type=_finite_float, default=None)
     p.add_argument("--sigma", type=_finite_float, default=None)
     p.add_argument("--mu", type=_finite_float, default=None)
     p.set_defaults(func=cmd_oracle)
 
-    # let option values like -1e6 parse as numbers, not flags
+    # let option values like -1e6 parse as numbers, not flags; refuse
+    # abbreviated options, or oracle's --h would be one of --help
     matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+\.?\d*[eE][-+]?\d+$")
     for sp in [parser, *sub.choices.values()]:
         sp._negative_number_matcher = matcher
+        sp.allow_abbrev = False
     return parser
 
 

@@ -54,6 +54,12 @@ TAG_MINIMIZER = "minimizer_u_mu"
 TAG_EIGENFUNCTION = "eigenfunction"
 TAG_TORSION = "torsion"
 
+# residual bound of every Robin eigenpair robin_principal_eigenvalue returns
+_EIGEN_TOL = 1e-8
+# heat-ladder resolution; a subnormal least time (324 decades) takes about
+# 48 000 steps with it
+_STEPS_PER_DECADE = 100
+
 
 @dataclass(frozen=True)
 class FieldSolution:
@@ -432,23 +438,22 @@ def estimate_dirichlet_e1(mesh):
     return resolvent_model(mesh).e1
 
 
-def robin_principal_eigenvalue(mesh, sigma, tol=1e-8, v0=None):
+def robin_principal_eigenvalue(mesh, sigma, v0=None):
     """Principal eigenvalue of the Robin problem with parameter ``sigma``.
 
     Solves (K + B(sigma)) u = lambda M u for its least eigenvalue with
     ``_ground_pair``. Without ``v0`` the start is the constants and the
     shift -1.5 max(-sigma)^2 - 1. A ``v0`` is the start, with the shift just
     below its Rayleigh quotient, unless it changes sign: then the solve
-    starts cold. A start that meets ``tol`` is returned after 0 iterations
-    with no matrix built, as u_mu is for sigma_mu and the constants are for
-    sigma = 0. The eigenfunction is M-normalized with a positive mean, and
-    its residual is at most ``tol``. It is positive where the discrete
-    ground state is; a concentrated sigma can make that state change sign,
-    and it is then returned as it is. ``SolverError`` for a ``tol`` not
-    finite and positive, or after 200 iterations; ``GeometryError`` for a
-    sigma too large to square or a bad ``v0``.
+    starts cold. A start whose residual is at most ``_EIGEN_TOL`` (1e-8) is
+    returned after 0 iterations with no matrix built, as u_mu is for
+    sigma_mu and the constants are for sigma = 0. The eigenfunction is
+    M-normalized with a positive mean, and its residual is at most
+    ``_EIGEN_TOL``. It is positive where the discrete ground state is; a
+    concentrated sigma can make that state change sign, and it is then
+    returned as it is. ``SolverError`` after 200 iterations;
+    ``GeometryError`` for a sigma too large to square or a bad ``v0``.
     """
-    _check_tol(tol)
     asm = assemble(mesh)
     d = asm.boundary_diagonal(sigma)
     sigma_neg_max = max(0.0, float(-sigma.values.min()))
@@ -469,7 +474,8 @@ def robin_principal_eigenvalue(mesh, sigma, tol=1e-8, v0=None):
             v, shift = v0, None
     # lambda >= 4 min(d / m, 0), m the lumped masses: K >= 0, M >= diag(m) / 4
     floor = 4.0 * min(0.0, float((d / asm.mass_times_one).min()))
-    lam, v, resid, its = _ground_pair(asm.K, asm.M, d, v, tol, shift, floor)
+    lam, v, resid, its = _ground_pair(asm.K, asm.M, d, v, _EIGEN_TOL, shift,
+                                      floor)
     v = v if v @ asm.mass_times_one > 0 else -v
     return SpectralResult(lam, FieldSolution(mesh, v, TAG_EIGENFUNCTION),
                           resid, its)
@@ -560,8 +566,8 @@ def _ground_pair(K, M, d, v, tol, shift, floor, lu=None):
 # heat content
 # ---------------------------------------------------------------------------
 
-def _heat_curve(mesh, horizon, steps_per_decade=100, t_small=None,
-                stop=math.inf):
+def _heat_curve(mesh, horizon, steps_per_decade=_STEPS_PER_DECADE,
+                t_small=None, stop=math.inf):
     """BDF2 heat-content curve on a dyadic step ladder.
 
     With m = ``steps_per_decade`` steps per decade between ``t_small`` and
@@ -649,33 +655,20 @@ def _check_tol(tol):
         raise SolverError(f"tolerance {tol!r} is not finite and positive")
 
 
-def _check_steps_per_decade(steps_per_decade):
-    """``GeometryError`` unless ``steps_per_decade`` is a positive integer."""
-    if (isinstance(steps_per_decade, bool)
-            or not isinstance(steps_per_decade, numbers.Integral)
-            or steps_per_decade <= 0):
-        raise GeometryError(
-            f"steps_per_decade must be a positive integer, got "
-            f"{steps_per_decade!r}"
-        )
-    return int(steps_per_decade)
-
-
-def heat_content(mesh, times, steps_per_decade=100):
+def heat_content(mesh, times):
     """Heat content Q(t) at the requested times.
 
     BDF2 stepping of M v' = -K v from unit initial temperature with a cold
     boundary, after one implicit-Euler start-up step, on a dyadic step
-    ladder refined toward t = 0 with ``steps_per_decade`` steps per decade
-    of time (see ``_heat_curve``), one triangular solve per step and one
-    factorization per system: the start-up step, each BDF2 rung and a cut
-    last step. The time error is second order: at the default 100 per
-    decade it is below 1e-4 of the lost heat over [25 h^2, 100 h^2] on
-    h = 0.048 meshes. Values at the requested times come from linear
-    interpolation on the substep grid, which is denser than any sensible
-    request. ``steps_per_decade`` must be a positive integer.
+    ladder refined toward t = 0 with ``_STEPS_PER_DECADE`` (100) steps per
+    decade of time from the least requested time to the largest (see
+    ``_heat_curve``), one triangular solve per step and one factorization
+    per system: the start-up step, each BDF2 rung and a cut last step. The
+    time error is second order: it is below 1e-4 of the lost heat over
+    [25 h^2, 100 h^2] on h = 0.048 meshes. Values at the requested times
+    come from linear interpolation on the substep grid, which is denser
+    than any sensible request.
     """
-    steps_per_decade = _check_steps_per_decade(steps_per_decade)
     try:
         times = np.asarray(times, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -691,8 +684,7 @@ def heat_content(mesh, times, steps_per_decade=100):
             f"largest time {times.max():g} exceeds diam(domain)^2 = "
             f"{diam**2:g}; the heat content is uninformative there"
         )
-    curve = _heat_curve(mesh, float(times.max()), steps_per_decade,
-                        t_small=float(times.min()))
+    curve = _heat_curve(mesh, float(times.max()), t_small=float(times.min()))
     vals = np.interp(times, curve.times, curve.values)
     return HeatContentCurve(times, vals, curve.scheme)
 
@@ -714,7 +706,7 @@ def _mesh_diameter(mesh):
 _HEAT_TAIL_STOP = 12.0
 
 
-def laplace_transform_check(mesh, s, steps_per_decade=100):
+def laplace_transform_check(mesh, s):
     """Both sides of the identity int U_s = int_0^inf e^{st} Q(t) dt.
 
     The left side is the mesh integral of the resolvent solution. The right
@@ -724,10 +716,9 @@ def laplace_transform_check(mesh, s, steps_per_decade=100):
     integrates that curve by the trapezoid rule and closes the tail with
     Q(t*) e^{s t*} / (E1 - s), which misses at most e^{-12} of |Omega| /
     (E1 - s) (see ``_HEAT_TAIL_STOP``). The curve is shared by every s on
-    the mesh. ``s`` must be finite and negative and ``steps_per_decade`` a
-    positive integer. Returns a dict with keys ``lhs`` and ``rhs``.
+    the mesh. ``s`` must be finite and negative. Returns a dict with keys
+    ``lhs`` and ``rhs``.
     """
-    steps_per_decade = _check_steps_per_decade(steps_per_decade)
     try:
         s = float(s)
     except (TypeError, ValueError, OverflowError):
@@ -738,8 +729,8 @@ def laplace_transform_check(mesh, s, steps_per_decade=100):
     lhs = solve_resolvent(mesh, s).integral()
     horizon = _mesh_diameter(mesh) ** 2
     e1 = resolvent_model(mesh).e1
-    curve = _heat_curve(mesh, horizon, steps_per_decade,
-                        t_small=horizon * 1e-3, stop=_HEAT_TAIL_STOP / e1)
+    curve = _heat_curve(mesh, horizon, t_small=horizon * 1e-3,
+                        stop=_HEAT_TAIL_STOP / e1)
     weights = np.exp(s * curve.times) * curve.values
     rhs = float(np.trapezoid(weights, curve.times))
     rhs += weights[-1] / (e1 - s)

@@ -23,7 +23,8 @@ import numpy as np
 from .errors import GeometryError, MeshResourceError
 
 _MAX_GRADING_LEVELS = 12
-_DEFAULT_NODE_CAP = 500_000
+# read at call time, so that tests can lower it
+_NODE_CAP = 500_000
 # domain lengths whose squares and cubes stay far inside the float range
 _MIN_LENGTH, _MAX_LENGTH = 1e-6, 1e6
 # most sides of a regular polygon; its metrics list every corner, and a
@@ -295,9 +296,9 @@ class Mesh:
                 raise GeometryError(f"mesh file {path} has a bad header")
             if min(n, t, b) < 0:
                 raise GeometryError(f"mesh file {path} has a negative count")
-            if max(n, t // 2, b) > _DEFAULT_NODE_CAP:
+            if max(n, t // 2, b) > _NODE_CAP:
                 raise GeometryError(f"mesh file {path} declares more than "
-                                    f"{_DEFAULT_NODE_CAP} nodes")
+                                    f"{_NODE_CAP} nodes")
             tokens += fh.read().split()
         if len(tokens) < 3 + 2 * n + 3 * t + 2 * b:
             raise GeometryError(f"mesh file {path} is truncated")
@@ -381,7 +382,7 @@ def _graded_1d(length, h, w_left, w_right):
             f"domain extent {length:g} too small for target spacing {h:g}"
         )
     n_mid = max(1, math.ceil(rem / h))
-    if n_mid > _DEFAULT_NODE_CAP:  # the 2D mesh would be far beyond any cap
+    if n_mid > _NODE_CAP:  # the 2D mesh would be far beyond any cap
         raise MeshResourceError(
             f"domain extent {length:g} needs {n_mid:.3g} spacings of {h:g}"
         )
@@ -391,10 +392,10 @@ def _graded_1d(length, h, w_left, w_right):
     return pts
 
 
-def _check_node_cap(kind, n_nodes, node_cap):
-    if n_nodes > node_cap:
+def _check_node_cap(kind, n_nodes):
+    if n_nodes > _NODE_CAP:
         raise MeshResourceError(
-            f"{kind} mesh needs {n_nodes} nodes, node cap is {node_cap}"
+            f"{kind} mesh needs {n_nodes} nodes, node cap is {_NODE_CAP}"
         )
 
 
@@ -426,7 +427,7 @@ def _zip_band(inner_ids, inner_ang, outer_ids, outer_ang):
     return np.column_stack([inner_ids[i % na], outer_ids[j % nb], third])
 
 
-def _ring_angles(radii, h, node_cap, base=6, multiple_of=1):
+def _ring_angles(radii, h, base=6, multiple_of=1):
     """Equispaced node angles from 0 per ring, the count proportional to
     radius.
 
@@ -444,7 +445,7 @@ def _ring_angles(radii, h, node_cap, base=6, multiple_of=1):
     own[1:] = ~(np.diff(radii) < 0.6 * h)
     last_own = np.maximum.accumulate(np.where(own, np.arange(len(radii)), 0))
     counts = counts[last_own].astype(np.int64)
-    _check_node_cap("ring", int(counts.sum()), node_cap)
+    _check_node_cap("ring", int(counts.sum()))
     return [2.0 * math.pi * np.arange(m) / m for m in counts.tolist()]
 
 
@@ -452,8 +453,7 @@ def _polar(r, theta):
     return r * np.cos(theta), r * np.sin(theta)
 
 
-def _ring_mesh(radii, ring_angles, place, h, layer_width, with_center,
-               node_cap):
+def _ring_mesh(radii, ring_angles, place, h, layer_width, with_center):
     """Mesh of concentric node rings, after a centre node if ``with_center``.
 
     Ring k has radius ``radii[k]`` and the increasing angles
@@ -463,7 +463,7 @@ def _ring_mesh(radii, ring_angles, place, h, layer_width, with_center,
     band between successive rings.
     """
     counts = [len(ang) for ang in ring_angles]
-    _check_node_cap("ring", int(with_center) + sum(counts), node_cap)
+    _check_node_cap("ring", int(with_center) + sum(counts))
     ends = np.cumsum([int(with_center)] + counts)
     ids = [np.arange(a, b) for a, b in zip(ends[:-1], ends[1:])]
     nodes = np.column_stack(place(np.repeat(radii, counts),
@@ -478,19 +478,19 @@ def _ring_mesh(radii, ring_angles, place, h, layer_width, with_center,
                 boundary_layer_width=layer_width)
 
 
-def _disk_mesh(radius, h, layer_width, node_cap):
+def _disk_mesh(radius, h, layer_width):
     radii = _graded_1d(radius, h, 0.0, layer_width)[1:]
-    return _ring_mesh(radii, _ring_angles(radii, h, node_cap), _polar, h,
-                      layer_width, True, node_cap)
+    return _ring_mesh(radii, _ring_angles(radii, h), _polar, h, layer_width,
+                      True)
 
 
-def _annulus_mesh(outer, inner, h, layer_width, node_cap):
+def _annulus_mesh(outer, inner, h, layer_width):
     radii = inner + _graded_1d(outer - inner, h, layer_width, layer_width)
-    return _ring_mesh(radii, _ring_angles(radii, h, node_cap), _polar, h,
-                      layer_width, False, node_cap)
+    return _ring_mesh(radii, _ring_angles(radii, h), _polar, h, layer_width,
+                      False)
 
 
-def _ngon_mesh(n_sides, circumradius, h, layer_width, node_cap):
+def _ngon_mesh(n_sides, circumradius, h, layer_width):
     apothem = circumradius * math.cos(math.pi / n_sides)
     depth = _graded_1d(apothem, h, 0.0, layer_width)[1:]
     sector = 2.0 * math.pi / n_sides
@@ -502,16 +502,15 @@ def _ngon_mesh(n_sides, circumradius, h, layer_width, node_cap):
         boundary_radius = apothem / np.cos((theta % sector) - sector / 2.0)
         return _polar(d / apothem * boundary_radius, theta)
 
-    angles = _ring_angles(depth, h, node_cap, base=n_sides,
-                          multiple_of=n_sides)
-    return _ring_mesh(depth, angles, place, h, layer_width, True, node_cap)
+    angles = _ring_angles(depth, h, base=n_sides, multiple_of=n_sides)
+    return _ring_mesh(depth, angles, place, h, layer_width, True)
 
 
 # ---------------------------------------------------------------------------
 # tensor meshes: rectangle, L-shape
 # ---------------------------------------------------------------------------
 
-def _tensor_mesh(xs, ys, h, layer_width, node_cap, drop=None):
+def _tensor_mesh(xs, ys, h, layer_width, drop=None):
     """Mesh of the tensor grid xs x ys, optionally without one quadrant.
 
     Nodes run row by row, x fastest; the cell [x0, x1] x [y0, y1] gives the
@@ -523,8 +522,7 @@ def _tensor_mesh(xs, ys, h, layer_width, node_cap, drop=None):
     a, b = (math.inf, math.inf) if drop is None else drop
     nx, ny = len(xs), len(ys)
     _check_node_cap("tensor",
-                    nx * ny - int(np.sum(xs > a)) * int(np.sum(ys > b)),
-                    node_cap)
+                    nx * ny - int(np.sum(xs > a)) * int(np.sum(ys > b)))
     x, y = np.meshgrid(xs, ys)
     n00 = np.arange(nx * ny).reshape(ny, nx)[:-1, :-1]
     n00 = n00[(x[:-1, :-1] < a) | (y[:-1, :-1] < b)]
@@ -536,13 +534,13 @@ def _tensor_mesh(xs, ys, h, layer_width, node_cap, drop=None):
     return Mesh(nodes, new_id[tris], h, boundary_layer_width=layer_width)
 
 
-def _rectangle_mesh(a, b, h, layer_width, node_cap):
+def _rectangle_mesh(a, b, h, layer_width):
     return _tensor_mesh(_graded_1d(a, h, layer_width, layer_width),
                         _graded_1d(b, h, layer_width, layer_width),
-                        h, layer_width, node_cap)
+                        h, layer_width)
 
 
-def _lshape_mesh(a, b, h, layer_width, node_cap):
+def _lshape_mesh(a, b, h, layer_width):
     # [0, 2a] x [0, 2b] without its upper-right quadrant; each arm's 1D grid
     # is graded at both ends, so every boundary piece, the re-entrant edges
     # through (a, b) included, gets layers
@@ -550,15 +548,14 @@ def _lshape_mesh(a, b, h, layer_width, node_cap):
     ys = _graded_1d(b, h, layer_width, layer_width)
     return _tensor_mesh(np.concatenate([xs, a + xs[1:]]),
                         np.concatenate([ys, b + ys[1:]]),
-                        h, layer_width, node_cap, drop=(a, b))
+                        h, layer_width, drop=(a, b))
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
-def generate_mesh(domain, target_h, boundary_layer_width=0.0,
-                  node_cap=_DEFAULT_NODE_CAP):
+def generate_mesh(domain, target_h, boundary_layer_width=0.0):
     """Generate a mesh for ``domain`` with interior spacing ``target_h``.
 
     If ``boundary_layer_width`` is positive, spacing normal to the boundary
@@ -568,7 +565,8 @@ def generate_mesh(domain, target_h, boundary_layer_width=0.0,
     Raises
     ------
     MeshResourceError
-        If the node cap or the 12-layer grading cap would be exceeded.
+        If the mesh would have more than 500 000 nodes (``_NODE_CAP``, the
+        cap ``Mesh.load`` applies too) or need more than 12 grading layers.
     """
     if not 0 < target_h < math.inf:
         raise GeometryError("target_h must be positive and finite")
@@ -584,7 +582,7 @@ def generate_mesh(domain, target_h, boundary_layer_width=0.0,
     if domain.kind not in builders:
         raise GeometryError(f"unknown domain kind {domain.kind!r}")
     mesh = builders[domain.kind](*domain.params, target_h,
-                                 boundary_layer_width, node_cap)
+                                 boundary_layer_width)
     if len(mesh.boundary_nodes) == len(mesh.nodes):
         raise GeometryError(
             f"{domain} at spacing {target_h:g} gives a mesh with no interior "

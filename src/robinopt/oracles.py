@@ -60,11 +60,11 @@ def disk_F(radius, s):
     return -2.0 * math.pi * radius * kappa * _i1_over_i0(kappa * radius)
 
 
-def disk_s_of_mu(radius, mu, tol=1e-13):
+def disk_s_of_mu(radius, mu):
     """Invert the exact disk F: unique s <= 0 with F(s) = mu (mu <= 0).
 
     The lower end of the bracket doubles until F falls below mu; Brent's
-    method then finds the root to relative accuracy ``tol``, which holds
+    method then finds the root to relative accuracy 1e-13, which holds
     down to the smallest |mu|.
     """
     if mu > 0:
@@ -80,7 +80,7 @@ def disk_s_of_mu(radius, mu, tol=1e-13):
 
     # brentq needs a positive xtol; one this small leaves the stop to rtol
     return brentq(lambda s: disk_F(radius, s) - mu, lo, 0.0,
-                  xtol=1e-300, rtol=tol)
+                  xtol=1e-300, rtol=1e-13)
 
 
 # a hair above the first zero of J0: J0 < 0 there for any radius, so the
@@ -88,13 +88,13 @@ def disk_s_of_mu(radius, mu, tol=1e-13):
 _J0_FIRST_ZERO_ABOVE = 2.404825557695773 * (1.0 + 1e-15)
 
 
-def disk_robin_lambda(radius, sigma, tol=1e-12):
+def disk_robin_lambda(radius, sigma):
     """Principal eigenvalue on a disk with a constant boundary parameter.
 
     Negative parameters give lambda = -k^2 with k I1(kR)/I0(kR) = -sigma;
     positive parameters give lambda = k^2 with k J1(kR) = sigma J0(kR),
     taking the first positive root. Both roots are bracketed from k = 0 and
-    found by Brent's method to relative accuracy ``tol`` in k.
+    found by Brent's method to relative accuracy 1e-12 in k.
     """
     if radius <= 0:
         raise GeometryError("radius must be positive")
@@ -114,7 +114,8 @@ def disk_robin_lambda(radius, sigma, tol=1e-12):
         hi = _J0_FIRST_ZERO_ABOVE / radius
     try:
         # brentq needs a positive xtol; one this small leaves the stop to rtol
-        k = brentq(root_fn, 0.0, hi, xtol=1e-300, rtol=tol, maxiter=200)
+        k = brentq(root_fn, 0.0, hi, xtol=1e-300, rtol=1e-12,
+                   maxiter=200)
     except RuntimeError as exc:
         raise SolverError(
             f"disk Robin root-find stalled for sigma={sigma:g}"
@@ -183,29 +184,3 @@ def small_mu_prediction(volume, torsion_integral):
         remainder_order="O(mu^3)",
     )
 
-
-def constant_sigma_bound_check(domain, sigma, lambda_measured,
-                               tolerance=None, mesh=None, h=0.03):
-    """Check lambda(const sigma) <= maximized lambda for mu = sigma |dO|.
-
-    On a disk the right side comes from the exact channel; elsewhere it is
-    computed by the finite-element optimizer on ``mesh``; by default the
-    mesh ``verify.mesh_for`` grades at spacing ``h`` for mu = sigma |dO|.
-    """
-    if sigma >= 0:
-        if sigma == 0:
-            return lambda_measured <= (tolerance or 1e-12)
-        raise GeometryError("constant_sigma_bound_check expects sigma <= 0")
-    m = geometry.metrics(domain)
-    mu = sigma * m.perimeter
-    if domain.kind == "disk":
-        s_mu = disk_s_of_mu(domain.params[0], mu)
-    else:
-        from . import optimizer, verify
-
-        if mesh is None:
-            mesh = verify.mesh_for(domain, mu, h)
-        s_mu = optimizer.optimize(mesh, mu).s_mu
-    if tolerance is None:
-        tolerance = 1e-6 * (1.0 + abs(s_mu))
-    return lambda_measured <= s_mu + tolerance

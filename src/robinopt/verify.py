@@ -138,11 +138,15 @@ def mesh_for(domain, mu, h=0.02):
 # optimality
 # ---------------------------------------------------------------------------
 
-def zero_mean_perturbations(mesh, samples, seed, amplitudes=(0.02, 0.1, 0.5)):
+# relative amplitudes the optimality samples cycle through
+_AMPLITUDES = (0.02, 0.1, 0.5)
+
+
+def zero_mean_perturbations(mesh, samples, seed):
     """Seeded nodal noise with exact zero lumped boundary integral.
 
     Yields (amplitude_factor, values) pairs; amplitudes cycle through the
-    given relative factors.
+    relative factors 0.02, 0.1 and 0.5.
     """
     rng = np.random.default_rng(seed)
     w = fem.assemble(mesh).boundary_node_weights
@@ -150,10 +154,10 @@ def zero_mean_perturbations(mesh, samples, seed, amplitudes=(0.02, 0.1, 0.5)):
     for k in range(samples):
         eta = rng.uniform(-1.0, 1.0, nb)
         eta -= (eta @ w) / w.sum()
-        yield amplitudes[k % len(amplitudes)], eta
+        yield _AMPLITUDES[k % len(_AMPLITUDES)], eta
 
 
-def run_optimality_suite(domain, mu, samples=100, seed=0, h=0.02, tol=None):
+def run_optimality_suite(domain, mu, samples=100, seed=0, h=0.02):
     """Sample the constraint class around the optimizer and check the sup.
 
     Every zero-mean perturbation of the optimal parameter must give an
@@ -171,7 +175,7 @@ def run_optimality_suite(domain, mu, samples=100, seed=0, h=0.02, tol=None):
     report = SuiteReport(f"optimality[{domain} mu={mu:g} samples={samples} "
                          f"seed={seed}]")
     mesh = mesh_for(domain, mu, h)
-    res = optimizer.optimize(mesh, mu, tol)
+    res = optimizer.optimize(mesh, mu)
     slack = 50.0 * res.tol
     scale = float(np.abs(res.sigma_mu.values).max()) or 1.0
     margins = []
@@ -230,13 +234,13 @@ def _lambda_mu_curve(domain, mu_grid, h):
     return out
 
 
-def run_asymptotic_suite(domain, mu_grid, h=0.01, band=4.0):
+def run_asymptotic_suite(domain, mu_grid, h=0.01):
     """Check the two-term expansion against measured maximized eigenvalues.
 
     The remainder r(mu) = lambda - leading mu^2 - subleading mu must stay
-    inside a fixed band and show no trend beyond error bars. On a disk the
-    exact channel is used. A grid spanning only |mu| <= 0.5 switches to the
-    small-constraint expansion.
+    inside the band |r| <= 4 and show no trend beyond error bars. On a disk
+    the exact channel is used. A grid spanning only |mu| <= 0.5 switches to
+    the small-constraint expansion.
     """
     t0 = time.perf_counter()
     mu_grid = [float(m) for m in mu_grid]
@@ -257,6 +261,7 @@ def run_asymptotic_suite(domain, mu_grid, h=0.01, band=4.0):
     lams = _lambda_mu_curve(domain, mu_grid, h)
     r = np.array([lam - pred.evaluate(mu)
                   for lam, mu in zip(lams, mu_grid)])
+    band = 4.0
     report.add_bound(f"max |remainder| over mu grid (band {band:g})",
                      float(np.abs(r).max()), band)
     trend = abs(r[0] - r[-1])
@@ -319,14 +324,15 @@ def _check_grid_admissible(domain, mu_grid, h):
 # heat content
 # ---------------------------------------------------------------------------
 
-def run_heat_content_suite(domain, h=0.02, laplace_shifts=(-0.5, -1.0, -2.0)):
+def run_heat_content_suite(domain, h=0.02):
     """Fit the small-time heat-content expansion and check the transform.
 
     Q(t) - area is fitted over t in [25 h^2, 100 h^2] against {sqrt(t), t};
     the sqrt(t) slope must reproduce the boundary length, and the linear
     term the curvature (smooth) or corner (polygon) coefficient. The
     zeroth-order sanity removes the known analytic terms from the data and
-    checks the leftover constant against the mesh area to 0.1%.
+    checks the leftover constant against the mesh area to 0.1%. The
+    Laplace-transform identity is checked at s = -0.5, -1 and -2.
     """
     t0 = time.perf_counter()
     report = SuiteReport(f"heat[{domain} h={h:g}]")
@@ -365,7 +371,7 @@ def run_heat_content_suite(domain, h=0.02, laplace_shifts=(-0.5, -1.0, -2.0)):
     report.add("sqrt(t) coefficient vs -2 |dO| / sqrt(pi)",
                coef[0], sqrt_exact, 0.03 * abs(sqrt_exact))
     report.add(lin_label, coef[1], lin_exact, lin_tol)
-    for s in laplace_shifts:
+    for s in (-0.5, -1.0, -2.0):
         out = fem.laplace_transform_check(mesh, s)
         report.add(
             f"transform identity at s={s:g} (relative)",
@@ -379,12 +385,13 @@ def run_heat_content_suite(domain, h=0.02, laplace_shifts=(-0.5, -1.0, -2.0)):
 # blow-up demonstration
 # ---------------------------------------------------------------------------
 
-def _blowup_mesh(domain, n_max, h=0.1):
+def _blowup_mesh(domain, n_max):
     """Mesh graded toward the concentration point s0 on the boundary.
 
     Returns (mesh, s0). Supports the disk (s0 at angle 0) and rectangles
-    (s0 at the bottom-edge midpoint).
+    (s0 at the bottom-edge midpoint), at interior spacing 0.1.
     """
+    h = 0.1
     # the finest support the 12-layer grading resolves; smaller requests
     # lead to trace truncation, not a meshing failure
     w = max(2.0 ** (-n_max), 4.0 * h * 2.0**-12 * (1.0 + 1e-9))
@@ -394,8 +401,7 @@ def _blowup_mesh(domain, n_max, h=0.1):
         angles = np.concatenate([-half[:0:-1], half[:-1]])
         radii = geometry._graded_1d(radius, h, 0.0, w)[1:]
         mesh = geometry._ring_mesh(radii, [angles] * len(radii),
-                                   geometry._polar, h, w, True,
-                                   geometry._DEFAULT_NODE_CAP)
+                                   geometry._polar, h, w, True)
         return mesh, np.array([radius, 0.0])
     if domain.kind == "rectangle":
         a, b = domain.params
@@ -404,26 +410,27 @@ def _blowup_mesh(domain, n_max, h=0.1):
             a / 2 + geometry._graded_1d(a / 2, h, w, 0.0)[1:],
         ])
         ys = geometry._graded_1d(b, h, w, 0.0)
-        mesh = geometry._tensor_mesh(xs, ys, h, w, geometry._DEFAULT_NODE_CAP)
+        mesh = geometry._tensor_mesh(xs, ys, h, w)
         return mesh, np.array([a / 2, 0.0])
     raise GeometryError(
         "blow-up demo supports disk and rectangle domains"
     )
 
 
-def run_blowup_demo(domain, mu, n_max=8, h=0.1):
+def run_blowup_demo(domain, mu, n_max=8):
     """Rayleigh-quotient trace of the concentrating boundary family.
 
     For each n, the parameter puts the whole constraint mass on the
     boundary ball of radius 2^-n around s0, and the test function rises
     from 1 to a log-log profile inside the ball of radius 1/n. The
     quotient of this explicit pair decreases without bound as n grows.
+    The mesh has interior spacing 0.1, graded toward s0.
     """
     if mu >= 0:
         raise GeometryError("blow-up demo needs mu < 0")
     if n_max < 4:
         raise GeometryError("log-log test functions need n >= 4")
-    mesh, s0 = _blowup_mesh(domain, n_max, h)
+    mesh, s0 = _blowup_mesh(domain, n_max)
     asm = fem.assemble(mesh)
     w = asm.boundary_node_weights
     dist = np.linalg.norm(mesh.nodes - s0, axis=1)
@@ -463,11 +470,11 @@ def run_blowup_demo(domain, mu, n_max=8, h=0.1):
     )
 
 
-def run_blowup_suite(domain, mu=-1.0, n_max=8, h=0.1):
+def run_blowup_suite(domain, mu=-1.0, n_max=8):
     """SuiteReport wrapper around the blow-up trace."""
     t0 = time.perf_counter()
     report = SuiteReport(f"blowup[{domain} mu={mu:g} n_max={n_max}]")
-    trace = run_blowup_demo(domain, mu, n_max, h)
+    trace = run_blowup_demo(domain, mu, n_max)
     q = np.array(trace.quotients)
     drops = np.diff(q)
     non_monotone = int((drops >= 0).sum())
@@ -489,18 +496,35 @@ def run_blowup_suite(domain, mu=-1.0, n_max=8, h=0.1):
     return report
 
 
+def _suite_runs(domain, mu, samples, seed, h):
+    """Each suite's run for the verify options, by suite name.
+
+    The one definition of the arguments the suites get, whether run alone
+    or by ``run_all_suites``. The optimality suite takes the options as
+    they are. The asymptotic suite runs on a fixed grid (ten mu values
+    from -200 to -20 on a disk, five from -24 to -8 elsewhere) at spacing
+    max(h, 0.015), and the heat suite at max(h, 0.02). The blow-up suite
+    runs at mu = -1, for which its early trace is monotone.
+    """
+    grid = (np.linspace(-200.0, -20.0, 10) if domain.kind == "disk"
+            else np.linspace(-24.0, -8.0, 5))
+    return {
+        "optimality": lambda: run_optimality_suite(
+            domain, mu, samples=samples, seed=seed, h=h),
+        "asymptotic": lambda: run_asymptotic_suite(
+            domain, list(grid), h=max(h, 0.015)),
+        "heat": lambda: run_heat_content_suite(domain, h=max(h, 0.02)),
+        "blowup": lambda: run_blowup_suite(domain, mu=-1.0),
+    }
+
+
 def run_all_suites(domain, mu=-10.0, samples=100, seed=0, h=0.02):
-    """Optimality, asymptotic, heat, and blow-up suites in order."""
-    reports = [
-        run_optimality_suite(domain, mu, samples=samples, seed=seed, h=h),
-    ]
-    if domain.kind == "disk":
-        grid = np.linspace(-200.0, -20.0, 10)
-    else:
-        grid = np.linspace(-24.0, -8.0, 5)
-    reports.append(run_asymptotic_suite(domain, list(grid),
-                                        h=max(h, 0.015)))
-    reports.append(run_heat_content_suite(domain, h=max(h, 0.02)))
-    if domain.kind in ("disk", "rectangle"):
-        reports.append(run_blowup_suite(domain, mu=-1.0))
-    return reports
+    """Optimality, asymptotic, heat, and blow-up suites in order.
+
+    The blow-up suite runs on disks and rectangles only; ``_suite_runs``
+    gives every suite's arguments.
+    """
+    runs = _suite_runs(domain, mu, samples, seed, h)
+    if domain.kind not in ("disk", "rectangle"):
+        del runs["blowup"]
+    return [run() for run in runs.values()]

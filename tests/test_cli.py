@@ -280,6 +280,37 @@ def test_usage_error_exit_code(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    # options the subcommand would ignore, or print another format for
+    ("sweep", "--mu-from", "-10", "--mu-to", "-5", "--format", "json"),
+    ("heat-content", "--format", "json"),
+    ("verify", "--suite", "blowup", "--format", "csv"),
+    ("oracle", "--format", "csv"),
+    ("oracle", "--h", "7"),
+    # times that are not positive, never replaced by the defaults
+    ("heat-content", "--t-from", "0"),
+    ("heat-content", "--t-to", "0"),
+    ("heat-content", "--t-from", "-1"),
+])
+def test_option_the_command_cannot_honour_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "usage:" in err and "error:" in err
+    assert out == ""
+
+
+def test_each_suite_alone_matches_its_report_in_all(capsys):
+    argv = ("verify", "--h", "0.1", "--samples", "2", "--format", "json")
+    _, out, _ = run(capsys, *argv, "--suite", "all")
+    reports = json.loads(out)["reports"]
+    suites = ("optimality", "asymptotic", "heat", "blowup")
+    assert len(reports) == len(suites)
+    for suite, report in zip(suites, reports):
+        code, out, _ = run(capsys, *argv, "--suite", suite)
+        assert code == (0 if report["pass"] else 2), suite
+        assert json.loads(out) == report, suite
+
+
+@pytest.mark.parametrize("argv", [
     ("optimize", "--mu", "nan"),
     ("optimize", "--h", "nan"),
     ("optimize", "--h", "inf"),

@@ -358,8 +358,8 @@ def test_robin_eigen_cold_start_on_strong_perturbations():
     mesh = verify.mesh_for(Domain.rectangle(1.0, 1.0), -20.0, 0.05)
     res = optimize(mesh, -20.0)
     scale = np.abs(res.sigma_mu.values).max()
-    for amp, eta in verify.zero_mean_perturbations(mesh, 4, 5,
-                                                   (0.5, 1.0, 1.5, 2.0)):
+    etas = (eta for _, eta in verify.zero_mean_perturbations(mesh, 4, 5))
+    for amp, eta in zip((0.5, 1.0, 1.5, 2.0), etas):
         sigma = BoundaryFunction(mesh, res.sigma_mu.values
                                  + amp * scale * eta)
         ref = _dense_ground(mesh, sigma)[0]
@@ -445,14 +445,6 @@ def test_heat_content_takes_a_subnormal_time():
     curve = heat_content(mesh, [5e-324, 0.5])
     assert curve.values[0] == pytest.approx(mesh.area(), rel=1e-12)
     assert 0 < curve.values[1] < curve.values[0]
-
-
-@pytest.mark.parametrize("steps", [0, -5, 2.5, math.nan, True, "100", None])
-def test_heat_options_reject_bad_steps_per_decade(square_mesh_mid, steps):
-    with pytest.raises(GeometryError, match="steps_per_decade"):
-        heat_content(square_mesh_mid, [0.01, 0.1], steps_per_decade=steps)
-    with pytest.raises(GeometryError, match="steps_per_decade"):
-        laplace_transform_check(square_mesh_mid, -1.0, steps_per_decade=steps)
 
 
 @pytest.mark.parametrize("s", [math.nan, -math.inf, math.inf, -10**400,
@@ -581,8 +573,11 @@ def test_heat_content_is_second_order_in_time(heat_disk):
     # doubling the steps per decade cuts the time error about fourfold
     mesh, exact = heat_disk
     times = _window(20)
-    errors = [np.abs(heat_content(mesh, times, steps_per_decade=m).values
-                     - exact(times)).max() for m in (50, 100)]
+    errors = []
+    for m in (50, 100):
+        curve = fem._heat_curve(mesh, times[-1], m, t_small=times[0])
+        values = np.interp(times, curve.times, curve.values)
+        errors.append(np.abs(values - exact(times)).max())
     assert errors[0] >= 3.0 * errors[1]
 
 

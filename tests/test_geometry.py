@@ -179,9 +179,10 @@ def test_grading_layer_cap():
                       boundary_layer_width=1e-7)
 
 
-def test_node_cap():
+def test_node_cap(monkeypatch):
+    monkeypatch.setattr(geometry, "_NODE_CAP", 64)
     with pytest.raises(MeshResourceError, match="node cap"):
-        generate_mesh(Domain.disk(1.0), 0.05, node_cap=64)
+        generate_mesh(Domain.disk(1.0), 0.05)
 
 
 def test_mesh_io_roundtrip(tmp_path):
@@ -516,12 +517,14 @@ def test_lshape_matches_three_block_oracle(spec, layer):
             == _coordinate_triangles(nodes, tris))
 
 
-def test_lshape_node_cap_counts_the_kept_nodes():
+def test_lshape_node_cap_counts_the_kept_nodes(monkeypatch):
     dom = Domain.lshape()
     kept = len(generate_mesh(dom, 0.1).nodes)
-    assert len(generate_mesh(dom, 0.1, node_cap=kept).nodes) == kept
+    monkeypatch.setattr(geometry, "_NODE_CAP", kept)
+    assert len(generate_mesh(dom, 0.1).nodes) == kept
+    monkeypatch.setattr(geometry, "_NODE_CAP", kept - 1)
     with pytest.raises(MeshResourceError, match="node cap"):
-        generate_mesh(dom, 0.1, node_cap=kept - 1)
+        generate_mesh(dom, 0.1)
 
 
 @pytest.mark.parametrize("domain", [Domain.disk(1e4), Domain.annulus(1e4, 1),
@@ -535,13 +538,14 @@ def test_ring_node_cap_refuses_oversize_meshes_early(domain):
     assert time.perf_counter() - start < 0.6
 
 
-def test_ring_node_cap_counts_every_node(catalogue):
+def test_ring_node_cap_counts_every_node(catalogue, monkeypatch):
     for name in ("disk", "annulus", "ngon"):
         dom = catalogue[name]
         size = len(generate_mesh(dom, 0.1, boundary_layer_width=0.1).nodes)
-        mesh = generate_mesh(dom, 0.1, boundary_layer_width=0.1,
-                             node_cap=size)
+        monkeypatch.setattr(geometry, "_NODE_CAP", size)
+        mesh = generate_mesh(dom, 0.1, boundary_layer_width=0.1)
         assert len(mesh.nodes) == size, name
+        monkeypatch.setattr(geometry, "_NODE_CAP", size - 1)
         with pytest.raises(MeshResourceError, match="node cap"):
-            generate_mesh(dom, 0.1, boundary_layer_width=0.1,
-                          node_cap=size - 1)
+            generate_mesh(dom, 0.1, boundary_layer_width=0.1)
+        monkeypatch.undo()
