@@ -191,16 +191,25 @@ def cmd_heat_content(args):
     return 0
 
 
+# the verify options only the optimality suite reads, with their defaults
+_OPTIMALITY_OPTIONS = {"mu": -10.0, "samples": 100, "seed": 0}
+
+
 def cmd_verify(args):
     if args.domain.startswith("mesh:"):
         raise UsageError("verification suites need a catalogue domain")
+    given = {name: getattr(args, name) for name in _OPTIMALITY_OPTIONS
+             if getattr(args, name) is not None}
+    if given and args.suite not in ("optimality", "all"):
+        flags = ", ".join(f"--{name}" for name in given)
+        raise UsageError(f"--suite {args.suite} takes no {flags}; only the "
+                         "optimality suite reads them")
+    options = {**_OPTIMALITY_OPTIONS, **given, "h": args.h}
     domain = geometry.parse_domain(args.domain)
     if args.suite == "all":
-        reports = verify.run_all_suites(domain, args.mu, args.samples,
-                                        args.seed, args.h)
+        reports = verify.run_all_suites(domain, **options)
     else:
-        reports = [verify._suite_runs(domain, args.mu, args.samples,
-                                      args.seed, args.h)[args.suite]()]
+        reports = [verify._suite_runs(domain, **options)[args.suite]()]
     all_pass = all(r.passed for r in reports)
     if args.format == "table":
         text = "\n\n".join(r.to_table() for r in reports) + "\n"
@@ -281,7 +290,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=(), mu_default=None, spacing=True):
+    def common(p, formats=(), spacing=True):
         p.add_argument("--domain", default="disk:1",
                        help="disk:R | annulus:R,r | rect:a,b | ngon:n,R | "
                             "lshape | mesh:PATH")
@@ -292,12 +301,11 @@ def build_parser():
             p.add_argument("--format", choices=formats, default="table")
         p.add_argument("--output", default=None,
                        help="write to a file instead of standard output")
-        if mu_default is not None:
-            p.add_argument("--mu", type=_finite_float, default=mu_default,
-                           help="boundary integral constraint value")
 
     p = sub.add_parser("optimize", help="single constrained optimization")
-    common(p, ("table", "json", "csv"), mu_default=-10.0)
+    common(p, ("table", "json", "csv"))
+    p.add_argument("--mu", type=_finite_float, default=-10.0,
+                   help="boundary integral constraint value")
     p.add_argument("--tol", type=_finite_float, default=None)
     p.add_argument("--dump-sigma", default=None, metavar="PATH",
                    help="write the boundary profile as arc_length,sigma CSV")
@@ -328,13 +336,23 @@ def build_parser():
         description="Alone or in --suite all, the optimality suite runs at "
                     "--h, the asymptotic suite at max(--h, 0.015), the "
                     "heat suite at max(--h, 0.02) and the blow-up suite "
-                    "at 0.1.")
-    common(p, ("table", "json"), mu_default=-10.0)
+                    "at 0.1. --mu, --samples and --seed feed the "
+                    "optimality suite only; the other suites alone refuse "
+                    "them.")
+    common(p, ("table", "json"))
     p.add_argument("--suite", default="all", choices=(
         "optimality", "asymptotic", "heat", "blowup", "all"))
-    p.add_argument("--samples", type=_count, default=100,
-                   help=f"perturbed parameters, 1 to {_COUNT_MAX}")
-    p.add_argument("--seed", type=_seed, default=0)
+    # None marks an option not given: only the optimality suite (alone or
+    # in --suite all) takes these, and cmd_verify fills in the defaults
+    default = {name: f" (default {value:g})"
+               for name, value in _OPTIMALITY_OPTIONS.items()}
+    p.add_argument("--mu", type=_finite_float, default=None,
+                   help="boundary integral constraint value" + default["mu"])
+    p.add_argument("--samples", type=_count, default=None,
+                   help=f"perturbed parameters, 1 to {_COUNT_MAX}"
+                        + default["samples"])
+    p.add_argument("--seed", type=_seed, default=None,
+                   help="seed of the perturbed parameters" + default["seed"])
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("corner-coeff", help="polygon corner coefficient")

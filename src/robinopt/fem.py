@@ -9,11 +9,13 @@ Galerkin solution wherever its residual certifies it, and a direct solve
 elsewhere; recovers boundary fluxes variationally; computes principal
 Robin eigenvalues by block-one LOBPCG, mostly with one factorization per
 solve and none when the start already meets the residual tolerance; and
-time-steps the Dirichlet heat equation for the heat content by one
-implicit-Euler start-up step and BDF2 on a dyadic step ladder, one
-factorization per system met. The Laplace check of the heat curve stops
-stepping at 12 / E1 and closes the tail with the ground mode, which misses
-at most e^-12 of |Omega| / (E1 - s).
+gives the Dirichlet heat content from the same model's Ritz pairs when
+their nested error estimate vouches for every requested time. Other
+requests, and the Laplace check of the heat curve, time-step the heat
+equation by one implicit-Euler start-up step and BDF2 on a dyadic step
+ladder, one factorization per system met. The Laplace check stops stepping
+at 12 / E1 and closes the tail with the ground mode, which misses at most
+e^-12 of |Omega| / (E1 - s).
 
 Every sparse LU goes through ``_factorize``: SuperLU with a symmetric
 minimum-degree ordering and diagonal pivots, which suits these symmetric
@@ -56,9 +58,11 @@ TAG_TORSION = "torsion"
 
 # residual bound of every Robin eigenpair robin_principal_eigenvalue returns
 _EIGEN_TOL = 1e-8
-# heat-ladder resolution; a subnormal least time (324 decades) takes about
-# 48 000 steps with it
+# heat-ladder resolution, and the most decades it spans: its least time is
+# floored at 1e-12 of its horizon, so no least time, a subnormal one
+# included, costs more than 1726 steps
 _STEPS_PER_DECADE = 100
+_LADDER_DECADES = 12
 
 
 @dataclass(frozen=True)
@@ -129,13 +133,16 @@ class ResolventModel:
     G~(s) = m' (K_r - s M_r)^-1 m = sum_i c_i^2 / (ritz_i - s). As a
     Galerkin (rational Gauss) quadrature for G, it gives G~ <= G below the
     first Dirichlet eigenvalue. ``e1`` is that eigenvalue, the Dirichlet
-    ground energy.
+    ground energy. ``nested_ritz`` and ``nested_loadings`` are the same
+    pairs for the first ``_KRYLOV_DEPTH // 2`` basis vectors alone.
     """
 
     ritz: np.ndarray
     vectors: np.ndarray
     loadings: np.ndarray
     e1: float
+    nested_ritz: np.ndarray
+    nested_loadings: np.ndarray
 
     def __call__(self, s):
         """G~(s) and its derivative G~'(s) = sum_i c_i^2 / (ritz_i - s)^2."""
@@ -146,6 +153,19 @@ class ResolventModel:
     def galerkin(self, s):
         """Interior values of the Galerkin solution V (c / (ritz - s))."""
         return self.vectors @ (self.loadings / (self.ritz - s))
+
+    def heat(self, times):
+        """Q~(t) = sum_i c_i^2 e^{-ritz_i t} at ``times``, full and nested.
+
+        Q~ is the shift-and-invert Krylov approximation of m' e^{-tA} 1,
+        A = M^-1 K, whose Laplace transform is G~. Returns the sums over the
+        full and the nested pairs, each an array over ``times``.
+        """
+        times = np.asarray(times, dtype=float)[:, None]
+        return tuple(np.exp(-times * ritz) @ loadings**2
+                     for ritz, loadings in
+                     ((self.ritz, self.loadings),
+                      (self.nested_ritz, self.nested_loadings)))
 
 
 @dataclass(frozen=True)
@@ -407,11 +427,15 @@ def resolvent_model(mesh):
             k += 1
     Q = Q[:, :k]
     T = Q.T @ (K @ Q)
-    ritz, Y = np.linalg.eigh(0.5 * (T + T.T))
+    T = 0.5 * (T + T.T)
+    ritz, Y = np.linalg.eigh(T)
     V = Q @ Y
     e1 = _ground_pair(K, M, np.zeros(len(m1)), V[:, 0], 1e-8 * ritz[0], 0.0,
                       0.0, lu)[0]
-    asm.model = ResolventModel(ritz, V, V.T @ m1, e1)
+    half = min(k, _KRYLOV_DEPTH // 2)
+    nested_ritz, Y = np.linalg.eigh(T[:half, :half])
+    asm.model = ResolventModel(ritz, V, V.T @ m1, e1, nested_ritz,
+                               Y.T @ (Q[:, :half].T @ m1))
     return asm.model
 
 
@@ -603,10 +627,9 @@ def _heat_curve(mesh, horizon, steps_per_decade=_STEPS_PER_DECADE,
         return cached
     decades = 1
     if t_small and 0 < t_small < horizon:
-        ratio = horizon / t_small  # inf for a subnormal t_small
-        span = (math.log10(ratio) if ratio < math.inf
-                else math.log10(horizon) - math.log10(t_small))
-        decades = max(1, math.ceil(span))
+        # at most 1e12, so a subnormal t_small gives no overflow either
+        ratio = min(horizon / t_small, 10.0 ** _LADDER_DECADES)
+        decades = max(1, math.ceil(math.log10(ratio)))
     m = steps_per_decade * decades
     total = m * m  # the horizon in units of dt0
     dt0 = horizon / total
@@ -655,19 +678,45 @@ def _check_tol(tol):
         raise SolverError(f"tolerance {tol!r} is not finite and positive")
 
 
+# |Q~_16 - Q~_8| over Q~_16(0) - Q~_16(t) up to which heat_content takes the
+# resolvent model's Q~_16(t). At 25 h^2 on the benchmark meshes that estimate
+# is 8e-8 (disk) to 3e-7 (L-shape), where the true error against the exact
+# semi-discrete Q is at most 1.2e-11 (disk, L-shape, annulus at h = 0.048)
+_HEAT_MODEL_GATE = 1e-6
+# Least t pi j01^2 / |Omega| at which heat_content builds the model at all;
+# pi j01^2 / |Omega| <= E1 by Faber-Krahn, with equality on the disk. The
+# gate passes at this t and every later one from 0.16 to 0.275 on the disk,
+# square, triangle, hexagon, 4x1 rectangle and L-shape (h = 0.02 to 0.048),
+# and from 0.06 on the 1, 0.5 annulus. Below, the model's LU and solves
+# would mostly be spent on a request the ladder serves anyway
+_HEAT_MODEL_REACH = 0.28
+_FABER_KRAHN = math.pi * 2.404825557695773**2
+
+
 def heat_content(mesh, times):
     """Heat content Q(t) at the requested times.
 
-    BDF2 stepping of M v' = -K v from unit initial temperature with a cold
-    boundary, after one implicit-Euler start-up step, on a dyadic step
-    ladder refined toward t = 0 with ``_STEPS_PER_DECADE`` (100) steps per
-    decade of time from the least requested time to the largest (see
-    ``_heat_curve``), one triangular solve per step and one factorization
-    per system: the start-up step, each BDF2 rung and a cut last step. The
-    time error is second order: it is below 1e-4 of the lost heat over
-    [25 h^2, 100 h^2] on h = 0.048 meshes. Values at the requested times
-    come from linear interpolation on the substep grid, which is denser
-    than any sensible request.
+    Q(t) = m' v(t), v the semi-discrete solution of M v' = -K v from unit
+    initial temperature with a cold boundary, m the mass vector of the
+    constant one. All the times come from one of two integrators. The
+    first is the resolvent model's Ritz pairs (``resolvent_model``, built
+    once per mesh): Q~(t) = sum_i c_i^2 e^{-ritz_i t}, a shift-and-invert
+    Krylov approximation whose error at a fixed t does not grow as h
+    shrinks (van den Eshof and Hochbruck, SIAM J. Sci. Comput. 27(4),
+    2006). The difference between Q~ on all 16 pairs and on the nested 8
+    estimates its error, and Q~_16 serves when that is at most 1e-6 of
+    Q~_16(0) - Q~_16(t) at every time. The model is not even built when the
+    least time lies below ``_HEAT_MODEL_REACH`` / (pi j01^2 / |Omega|),
+    where the gate fails on every catalogue domain measured but the
+    annulus. Otherwise every time comes from the BDF2 ladder
+    of ``_heat_curve`` from the least time to the largest, with
+    ``_STEPS_PER_DECADE`` (100) steps per decade, at most 12 decades, read
+    off by linear interpolation; its time error is second order and below
+    1e-4 of the lost heat over [25 h^2, 100 h^2] on h = 0.048 meshes. At
+    h = 0.048 the model serves that whole window on the disk, square,
+    L-shape and annulus, with no factorization of its own; the window
+    scales with h^2, so on finer meshes (the unit disk below h = 0.044) the
+    ladder serves it. ``scheme`` names the integrator used.
     """
     try:
         times = np.asarray(times, dtype=float)
@@ -684,7 +733,16 @@ def heat_content(mesh, times):
             f"largest time {times.max():g} exceeds diam(domain)^2 = "
             f"{diam**2:g}; the heat content is uninformative there"
         )
-    curve = _heat_curve(mesh, float(times.max()), t_small=float(times.min()))
+    area = assemble(mesh).mass_times_one.sum()
+    if times[0] * _FABER_KRAHN >= _HEAT_MODEL_REACH * area:
+        model = resolvent_model(mesh)
+        full, nested = model.heat(np.append(0.0, times))
+        vals = full[1:]
+        if np.all(np.abs(vals - nested[1:])
+                  <= _HEAT_MODEL_GATE * (full[0] - vals)):
+            return HeatContentCurve(times, vals,
+                                    f"krylov ritz k={len(model.ritz)}")
+    curve = _heat_curve(mesh, float(times[-1]), t_small=float(times[0]))
     vals = np.interp(times, curve.times, curve.values)
     return HeatContentCurve(times, vals, curve.scheme)
 

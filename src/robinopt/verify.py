@@ -331,7 +331,9 @@ def run_heat_content_suite(domain, h=0.02):
     the sqrt(t) slope must reproduce the boundary length, and the linear
     term the curvature (smooth) or corner (polygon) coefficient. The
     zeroth-order sanity removes the known analytic terms from the data and
-    checks the leftover constant against the mesh area to 0.1%. The
+    checks the leftover constant against the mesh area to 0.1%. Over the
+    window, the BDF2 ladder of ``fem._heat_curve`` must agree with the
+    resolvent model's Ritz sum to 1e-3 of the lost heat. The
     Laplace-transform identity is checked at s = -0.5, -1 and -2.
     """
     t0 = time.perf_counter()
@@ -371,6 +373,14 @@ def run_heat_content_suite(domain, h=0.02):
     report.add("sqrt(t) coefficient vs -2 |dO| / sqrt(pi)",
                coef[0], sqrt_exact, 0.03 * abs(sqrt_exact))
     report.add(lin_label, coef[1], lin_exact, lin_tol)
+    # two independent time integrators over the window: the BDF2 ladder
+    # against the resolvent model's Ritz sum
+    ladder = fem._heat_curve(mesh, window[-1], t_small=window[0])
+    ritz_sum = fem.resolvent_model(mesh).heat(np.append(0.0, window))[0]
+    gap = np.abs(np.interp(window, ladder.times, ladder.values)
+                 - ritz_sum[1:]) / (ritz_sum[0] - ritz_sum[1:])
+    report.add_bound("BDF2 ladder vs Ritz sum over the window, of the lost "
+                     "heat", float(gap.max()), 1e-3)
     for s in (-0.5, -1.0, -2.0):
         out = fem.laplace_transform_check(mesh, s)
         report.add(

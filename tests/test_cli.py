@@ -269,7 +269,7 @@ def test_output_file_and_determinism(tmp_path, capsys):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     for p in (p1, p2):
         code, _, _ = run(capsys, "verify", "--suite", "blowup",
-                         "--domain", "disk:1", "--seed", "7",
+                         "--domain", "disk:1",
                          "--format", "json", "--output", str(p))
         assert code == 0
     assert p1.read_bytes() == p2.read_bytes()
@@ -299,15 +299,34 @@ def test_option_the_command_cannot_honour_is_a_usage_error(capsys, argv):
 
 
 def test_each_suite_alone_matches_its_report_in_all(capsys):
-    argv = ("verify", "--h", "0.1", "--samples", "2", "--format", "json")
-    _, out, _ = run(capsys, *argv, "--suite", "all")
+    argv = ("verify", "--h", "0.1", "--format", "json")
+    samples = ("--samples", "2")  # the optimality suite's alone
+    _, out, _ = run(capsys, *argv, *samples, "--suite", "all")
     reports = json.loads(out)["reports"]
     suites = ("optimality", "asymptotic", "heat", "blowup")
     assert len(reports) == len(suites)
     for suite, report in zip(suites, reports):
-        code, out, _ = run(capsys, *argv, "--suite", suite)
+        extra = samples if suite == "optimality" else ()
+        code, out, _ = run(capsys, *argv, *extra, "--suite", suite)
         assert code == (0 if report["pass"] else 2), suite
         assert json.loads(out) == report, suite
+
+
+@pytest.mark.parametrize("suite", ["asymptotic", "heat", "blowup"])
+@pytest.mark.parametrize("option", [("--mu", "-10"), ("--samples", "100"),
+                                    ("--seed", "0")])
+def test_suite_refuses_an_option_it_ignores(monkeypatch, capsys, suite,
+                                            option):
+    # even at its default value, and before any mesh is built
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(robinopt.geometry, "generate_mesh", no_mesh)
+    code, out, err = run(capsys, "verify", "--suite", suite, *option)
+    assert code == 1
+    assert f"error: --suite {suite} takes no {option[0]}" in err
+    assert "Traceback" not in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("argv", [

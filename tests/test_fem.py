@@ -439,12 +439,65 @@ def test_heat_content_validates_times(square_mesh_mid):
         heat_content(square_mesh_mid, [0.01, math.nan])
 
 
-def test_heat_content_takes_a_subnormal_time():
-    # horizon / t overflows to inf; the ladder then spans 325 decades
+def _count_lus(monkeypatch):
+    """Factorizations and triangular solves made through ``fem.splu``."""
+    lus, solves = [], []
+    original = fem.splu
+
+    class CountingLU:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, rhs):
+            solves.append(1)
+            return self._lu.solve(rhs)
+
+    def counting_splu(A, *args, **kwargs):
+        lus.append(A.shape)
+        return CountingLU(original(A, *args, **kwargs))
+
+    monkeypatch.setattr(fem, "splu", counting_splu)
+    return lus, solves
+
+
+def test_heat_content_takes_a_subnormal_time(monkeypatch):
+    # a subnormal least time lies far below the model's reach, and the
+    # ladder up to 0.5 that serves it starts at 1e-12 of 0.5: twelve
+    # decades, not 325
+    lus, _ = _count_lus(monkeypatch)
     mesh = generate_mesh(Domain.disk(1.0), 0.2)
     curve = heat_content(mesh, [5e-324, 0.5])
     assert curve.values[0] == pytest.approx(mesh.area(), rel=1e-12)
     assert 0 < curve.values[1] < curve.values[0]
+    assert curve.scheme == "bdf2 dyadic m=1200"
+    assert 0 < len(lus) <= math.ceil(math.log2(2 * 1200)) + 2
+
+
+def test_heat_content_builds_no_model_below_its_reach(monkeypatch):
+    # t pi j01^2 / |Omega| = 0.0058 at t = 1e-3 on the unit disk, far below
+    # where the model's gate ever passed: the ladder serves alone
+    lus, _ = _count_lus(monkeypatch)
+    mesh = generate_mesh(Domain.disk(1.0), 0.2)
+    curve = heat_content(mesh, [1e-3, 4e-3])
+    assert curve.scheme == "bdf2 dyadic m=100"
+    assert 0 < len(lus) <= math.ceil(math.log2(2 * 100)) + 2
+    assert assemble(mesh).model is None
+
+
+def test_heat_content_takes_one_integrator_for_all_times():
+    # on the two-pole mesh graded for mu = -400 the gate fails at t = 0.1
+    # but passes at t = 7, so the ladder serves every time, and two times
+    # 1e-7 apart in relative terms keep Q strictly decreasing
+    mesh = verify.mesh_for(Domain.disk(1.0), -400.0, 0.05)
+    times = [0.1, 0.1 * (1 + 1e-7), 7.0]
+    model = fem.resolvent_model(mesh)
+    full, nested = model.heat([0.0] + times)
+    lost = full[0] - full[1:]
+    trusted = np.abs(full[1:] - nested[1:]) <= fem._HEAT_MODEL_GATE * lost
+    assert trusted.tolist() == [False, False, True]
+    curve = heat_content(mesh, times)
+    assert curve.scheme == "bdf2 dyadic m=200"
+    assert np.all(np.diff(curve.values) < 0)
 
 
 @pytest.mark.parametrize("s", [math.nan, -math.inf, math.inf, -10**400,
@@ -547,6 +600,11 @@ def heat_disk():
     time-step error.
     """
     mesh = generate_mesh(Domain.disk(1.0), 0.048)
+    return mesh, _semi_discrete_heat(mesh)
+
+
+def _semi_discrete_heat(mesh):
+    """Q(t) = sum_i (phi_i' m)^2 exp(-lambda_i t) by dense ``eigh``."""
     asm = assemble(mesh)
     lam, phi = scipy.linalg.eigh(asm.K_II.toarray(), asm.M_II.toarray())
     weights = (phi.T @ asm.mass_times_one[asm.interior]) ** 2
@@ -554,7 +612,7 @@ def heat_disk():
     def exact(times):
         return np.exp(-np.outer(times, lam)) @ weights
 
-    return mesh, exact
+    return exact
 
 
 def _window(count):
@@ -567,6 +625,31 @@ def test_heat_content_matches_semi_discrete_reference(heat_disk):
     times = _window(6)
     curve = heat_content(mesh, times)
     assert np.abs(curve.values - exact(times)).max() <= 2e-4
+
+
+@pytest.mark.parametrize("domain", [
+    Domain.disk(1.0), Domain.lshape(1.0, 1.0), Domain.annulus(1.0, 0.5),
+], ids=["disk", "lshape", "annulus"])
+def test_heat_content_window_error_against_dense_eigh(domain):
+    # over [25 h^2, 100 h^2] the model's Q~ is within 1e-8 of the lost heat
+    # Q(0) - Q(t) of the time-exact semi-discrete Q
+    mesh = generate_mesh(domain, 0.048)
+    exact = _semi_discrete_heat(mesh)
+    times = _window(20)
+    curve = heat_content(mesh, times)
+    lost = exact([0.0])[0] - exact(times)
+    assert np.all(np.abs(curve.values - exact(times)) <= 1e-8 * lost)
+
+
+def test_heat_content_late_times_against_dense_eigh():
+    # at T/2 and T = diam^2 the heat left is about e^{-23} and e^{-46} of
+    # the area; the BDF2 ladder gave 0.44 and 0.17 of these values
+    mesh = generate_mesh(Domain.disk(1.0), 0.2)
+    horizon = fem._mesh_diameter(mesh) ** 2
+    times = np.array([horizon / 2, horizon])
+    curve = heat_content(mesh, times)
+    assert curve.values == pytest.approx(_semi_discrete_heat(mesh)(times),
+                                         rel=1e-6)
 
 
 def test_heat_content_is_second_order_in_time(heat_disk):
@@ -590,36 +673,23 @@ def test_laplace_transform_identity_tight(heat_disk):
 
 def test_heat_budget_on_a_fresh_disk(monkeypatch):
     # heat content over the fit window, then the Laplace check at three
-    # shifts: one LU for the resolvent model, eight for the window ladder
-    # (start-up Euler, BDF2 rungs 4 to 128, a cut Euler step) and eight for
-    # the Laplace ladder stopped at 12 / E1 (start-up Euler, rungs 4 to
-    # 256), shared by the three shifts
-    lus, solves = [], []
-    original = fem.splu
-
-    class CountingLU:
-        def __init__(self, lu):
-            self._lu = lu
-
-        def solve(self, rhs):
-            solves.append(1)
-            return self._lu.solve(rhs)
-
-    def counting_splu(A, *args, **kwargs):
-        lus.append(A.shape)
-        return CountingLU(original(A, *args, **kwargs))
-
-    monkeypatch.setattr(fem, "splu", counting_splu)
+    # shifts: one LU for the resolvent model, which serves the window, and
+    # eight for the Laplace ladder stopped at 12 / E1 (start-up Euler, rungs
+    # 4 to 256), shared by the three shifts
+    lus, solves = _count_lus(monkeypatch)
     mesh = generate_mesh(Domain.disk(1.0), 0.048)
     fem.resolvent_model(mesh)
     assert len(lus) == 1
     model_solves = len(solves)
-    heat_content(mesh, _window(20))
+    curve = heat_content(mesh, _window(20))
+    # the model serves the whole window, with no LU or solve of its own
+    assert curve.scheme == "krylov ritz k=16"
+    assert (len(lus), len(solves)) == (1, model_solves)
     for s in (-0.5, -1.0, -2.0):
         laplace_transform_check(mesh, s)
-    assert len(lus) == 17
-    # one triangular solve per heat step
-    assert len(solves) - model_solves == 359
+    assert len(lus) == 9
+    # one triangular solve per step of the Laplace ladder
+    assert len(solves) - model_solves == 218
 
 
 @pytest.mark.parametrize("domain", [
