@@ -9,13 +9,14 @@ Galerkin solution wherever its residual certifies it, and a direct solve
 elsewhere; recovers boundary fluxes variationally; computes principal
 Robin eigenvalues by block-one LOBPCG, mostly with one factorization per
 solve and none when the start already meets the residual tolerance; and
-gives the Dirichlet heat content from the same model's Ritz pairs when
-their nested error estimate vouches for every requested time. Other
-requests, and the Laplace check of the heat curve, time-step the heat
+gives the Dirichlet heat content from the same model's Ritz pairs at the
+trailing requested times their nested error estimate vouches for. Earlier
+times, and the Laplace check of the heat curve, time-step the heat
 equation by one implicit-Euler start-up step and BDF2 on a dyadic step
 ladder, one factorization per system met. The Laplace check stops stepping
-at 12 / E1 and closes the tail with the ground mode, which misses at most
-e^-12 of |Omega| / (E1 - s).
+once the model shows the heat outside the ground mode below e^-12 |Omega|,
+at 12 / E1 at the latest, and closes the tail with the ground mode, which
+misses at most e^-12 of |Omega| / (E1 - s).
 
 Every sparse LU goes through ``_factorize``: SuperLU with a symmetric
 minimum-degree ordering and diagonal pivots, which suits these symmetric
@@ -166,6 +167,16 @@ class ResolventModel:
                      for ritz, loadings in
                      ((self.ritz, self.loadings),
                       (self.nested_ritz, self.nested_loadings)))
+
+    def excited_heat(self, t):
+        """Heat outside the ground mode at time t, with its error estimate.
+
+        R~(t) + |Q~_16(t) - Q~_8(t)|, where R~ = Q~_16 - c_1^2 e^{-ritz_1 t}
+        is the model's heat outside its lowest Ritz pair.
+        """
+        (full,), (nested,) = self.heat([t])
+        ground = self.loadings[0] ** 2 * math.exp(-self.ritz[0] * t)
+        return float(full - ground + abs(full - nested))
 
 
 @dataclass(frozen=True)
@@ -591,7 +602,7 @@ def _ground_pair(K, M, d, v, tol, shift, floor, lu=None):
 # ---------------------------------------------------------------------------
 
 def _heat_curve(mesh, horizon, steps_per_decade=_STEPS_PER_DECADE,
-                t_small=None, stop=math.inf):
+                t_small=None, tail_stop=None):
     """BDF2 heat-content curve on a dyadic step ladder.
 
     With m = ``steps_per_decade`` steps per decade between ``t_small`` and
@@ -602,7 +613,10 @@ def _heat_curve(mesh, horizon, steps_per_decade=_STEPS_PER_DECADE,
     tick is a multiple of its step unless the step was held back (below);
     the last step is cut to end at T.
     Every time is a whole multiple of dt0, so the curve ends exactly at the
-    horizon, or at the first tick at or past ``stop`` if that comes first.
+    horizon. With ``tail_stop`` k it ends instead at the first tick t where
+    the heat outside the ground mode is shown to be at most e^-k |Omega|:
+    by the resolvent model's ``excited_heat``, or by the bound
+    e^{-E1 t} |Omega| once t >= k / E1, whichever comes first.
     A step grows only while dt rho <= 1/2, with rho >= E1 the Rayleigh
     quotient of the state: BDF2's roots for the ground mode are real up to
     dt E1 = 1/2, and past it Q(t) oscillates in sign. On short ladders
@@ -621,7 +635,7 @@ def _heat_curve(mesh, horizon, steps_per_decade=_STEPS_PER_DECADE,
     """
     asm = assemble(mesh)
     key = (float(horizon), float(t_small or 0.0), steps_per_decade,
-           float(stop))
+           tail_stop)
     cached = asm._heat_cache.get(key)
     if cached is not None:
         return cached
@@ -639,10 +653,16 @@ def _heat_curve(mesh, horizon, steps_per_decade=_STEPS_PER_DECADE,
     q = [float(asm.mass_times_one.sum())]  # Q(0) = mesh area
     # (tick, M v) of the last three states; M v(0) = m1 projects the full 1
     recent = [(0, m1)]
+    model, stop = None, math.inf
+    if tail_stop is not None:
+        model = resolvent_model(mesh)
+        stop = tail_stop / model.e1
+        floor = math.exp(-tail_stop) * q[0]
     lu = None
     system = None  # (BDF2?, step) of the live factors
     step = 0  # the last step, in units of dt0
-    while ticks[-1] < total and ticks[-1] * dt0 < stop:
+    while (ticks[-1] < total and ticks[-1] * dt0 < stop
+           and (model is None or model.excited_heat(ticks[-1] * dt0) > floor)):
         k = ticks[-1]
         Mv = recent[-1][1]
         # largest 2^j <= 2 sqrt(k), from 4^j <= 4k in integers; 4 at k = 0
@@ -683,7 +703,8 @@ def _check_tol(tol):
 # is 8e-8 (disk) to 3e-7 (L-shape), where the true error against the exact
 # semi-discrete Q is at most 1.2e-11 (disk, L-shape, annulus at h = 0.048)
 _HEAT_MODEL_GATE = 1e-6
-# Least t pi j01^2 / |Omega| at which heat_content builds the model at all;
+# Least t pi j01^2 / |Omega| of the largest requested time at which
+# heat_content builds the model at all;
 # pi j01^2 / |Omega| <= E1 by Faber-Krahn, with equality on the disk. The
 # gate passes at this t and every later one from 0.16 to 0.275 on the disk,
 # square, triangle, hexagon, 4x1 rectangle and L-shape (h = 0.02 to 0.048),
@@ -698,25 +719,27 @@ def heat_content(mesh, times):
 
     Q(t) = m' v(t), v the semi-discrete solution of M v' = -K v from unit
     initial temperature with a cold boundary, m the mass vector of the
-    constant one. All the times come from one of two integrators. The
-    first is the resolvent model's Ritz pairs (``resolvent_model``, built
-    once per mesh): Q~(t) = sum_i c_i^2 e^{-ritz_i t}, a shift-and-invert
-    Krylov approximation whose error at a fixed t does not grow as h
-    shrinks (van den Eshof and Hochbruck, SIAM J. Sci. Comput. 27(4),
-    2006). The difference between Q~ on all 16 pairs and on the nested 8
-    estimates its error, and Q~_16 serves when that is at most 1e-6 of
-    Q~_16(0) - Q~_16(t) at every time. The model is not even built when the
-    least time lies below ``_HEAT_MODEL_REACH`` / (pi j01^2 / |Omega|),
+    constant one. The times come from two integrators. The first is the
+    resolvent model's Ritz pairs (``resolvent_model``, built once per
+    mesh): Q~(t) = sum_i c_i^2 e^{-ritz_i t}, a shift-and-invert Krylov
+    approximation whose error at a fixed t does not grow as h shrinks (van
+    den Eshof and Hochbruck, SIAM J. Sci. Comput. 27(4), 2006). The
+    difference between Q~ on all 16 pairs and on the nested 8 estimates its
+    error, and Q~_16 serves the times after the last one where that exceeds
+    1e-6 of Q~_16(0) - Q~_16(t). The model is not even built when the
+    largest time lies below ``_HEAT_MODEL_REACH`` / (pi j01^2 / |Omega|),
     where the gate fails on every catalogue domain measured but the
-    annulus. Otherwise every time comes from the BDF2 ladder
-    of ``_heat_curve`` from the least time to the largest, with
+    annulus. The other times come from the BDF2 ladder of ``_heat_curve``
+    from the least time to the last one the model does not serve, with
     ``_STEPS_PER_DECADE`` (100) steps per decade, at most 12 decades, read
     off by linear interpolation; its time error is second order and below
-    1e-4 of the lost heat over [25 h^2, 100 h^2] on h = 0.048 meshes. At
-    h = 0.048 the model serves that whole window on the disk, square,
-    L-shape and annulus, with no factorization of its own; the window
-    scales with h^2, so on finer meshes (the unit disk below h = 0.044) the
-    ladder serves it. ``scheme`` names the integrator used.
+    1e-4 of the lost heat over [25 h^2, 100 h^2] on h = 0.048 meshes. The
+    two are joined only if Q still strictly decreases across the seam;
+    otherwise the ladder serves every time. At h = 0.048 the model serves
+    that whole window on the disk, square, L-shape and annulus, with no
+    factorization of its own; the window scales with h^2, so on finer
+    meshes (the unit disk below h = 0.044) the ladder serves it. ``scheme``
+    names the integrators used, ladder first.
     """
     try:
         times = np.asarray(times, dtype=float)
@@ -730,37 +753,54 @@ def heat_content(mesh, times):
     diam = _mesh_diameter(mesh)
     if times.max() > diam**2 * (1.0 + 1e-12):
         raise GeometryError(
-            f"largest time {times.max():g} exceeds diam(domain)^2 = "
-            f"{diam**2:g}; the heat content is uninformative there"
+            f"largest time {times.max():g} exceeds {diam**2:g}, the squared "
+            "diagonal of the mesh's bounding box (at least diam(domain)^2); "
+            "the heat content is uninformative there"
         )
     area = assemble(mesh).mass_times_one.sum()
-    if times[0] * _FABER_KRAHN >= _HEAT_MODEL_REACH * area:
+    if times[-1] * _FABER_KRAHN >= _HEAT_MODEL_REACH * area:
         model = resolvent_model(mesh)
         full, nested = model.heat(np.append(0.0, times))
         vals = full[1:]
-        if np.all(np.abs(vals - nested[1:])
-                  <= _HEAT_MODEL_GATE * (full[0] - vals)):
-            return HeatContentCurve(times, vals,
-                                    f"krylov ritz k={len(model.ritz)}")
+        scheme = f"krylov ritz k={len(model.ritz)}"
+        failed = np.flatnonzero(np.abs(vals - nested[1:])
+                                > _HEAT_MODEL_GATE * (full[0] - vals))
+        if len(failed) == 0:
+            return HeatContentCurve(times, vals, scheme)
+        last = failed[-1]
+        if last + 1 < len(times):
+            curve = _heat_curve(mesh, float(times[last]),
+                                t_small=float(times[0]))
+            head = np.interp(times[:last + 1], curve.times, curve.values)
+            if head[-1] > vals[last + 1]:
+                return HeatContentCurve(
+                    times, np.concatenate((head, vals[last + 1:])),
+                    f"{curve.scheme} + {scheme}")
     curve = _heat_curve(mesh, float(times[-1]), t_small=float(times[0]))
     vals = np.interp(times, curve.times, curve.values)
     return HeatContentCurve(times, vals, curve.scheme)
 
 
 def _mesh_diameter(mesh):
+    """Diagonal of the mesh's bounding box, at least its diameter."""
     lo = mesh.nodes.min(axis=0)
     hi = mesh.nodes.max(axis=0)
     return float(np.linalg.norm(hi - lo))
 
 
-# The Laplace check's heat curve stops at the first tick at or past
-# t* = _HEAT_TAIL_STOP / E1 and is closed by Q(t*) e^{s t*} / (E1 - s). For
-# Q(t) = sum_i c_i^2 e^{-lambda_i t}, the closure is exact on the ground
-# mode and overstates only the higher ones, by at most
-# sum_{i>1} c_i^2 e^{(s - lambda_i) t*} / (E1 - s), which is below
-# e^{-12} |Omega| / (E1 - s), about 6e-6 of the tail's scale. By Faber-Krahn
-# and the isodiametric inequality E1 diam^2 >= 4 j01^2 = 23.1, so t* lies
-# inside the horizon diam^2
+# The Laplace check's heat curve stops at the first tick t* where the heat
+# outside the ground mode, R(t*) = sum_{i>1} c_i^2 e^{-lambda_i t*} for
+# Q(t) = sum_i c_i^2 e^{-lambda_i t}, is shown to be at most
+# e^{-_HEAT_TAIL_STOP} |Omega|, and is closed by Q(t*) e^{s t*} / (E1 - s).
+# The closure is exact on the ground mode and overstates only the higher
+# ones, by at most R(t*) e^{s t*} / (E1 - s) <= e^{-12} |Omega| / (E1 - s),
+# about 6e-6 of the tail's scale. The resolvent model shows it by
+# R~(t) + |Q~_16(t) - Q~_8(t)| (``ResolventModel.excited_heat``), at 1.7 to
+# 4.6 / E1 on the disk, L-shape, annulus and square at h = 0.048, where
+# dense eigh gives R(t*) = 4.8e-6 to 5.9e-6 |Omega|; the bound
+# R(t) <= e^{-E1 t} |Omega| shows it at 12 / E1 at the latest, where
+# two-pole models stop. By Faber-Krahn and the isodiametric inequality
+# E1 diam^2 >= 4 j01^2 = 23.1, so t* lies inside the horizon diam^2
 _HEAT_TAIL_STOP = 12.0
 
 
@@ -769,13 +809,17 @@ def laplace_transform_check(mesh, s):
 
     The left side is the mesh integral of the resolvent solution. The right
     side steps the heat ladder of ``_heat_curve`` for the horizon
-    T = diam^2 (t_small = T / 1000) only up to its first tick t* at or past
-    12 / E1, E1 the Dirichlet ground energy of the resolvent model; it
+    T = diam^2 (t_small = T / 1000) only up to its first tick t* where the
+    resolvent model's estimate of the heat outside the ground mode, or the
+    bound e^{-E1 t} |Omega| (so at 12 / E1 at the latest), is at most
+    e^{-12} |Omega|, E1 the Dirichlet ground energy of the model; it
     integrates that curve by the trapezoid rule and closes the tail with
     Q(t*) e^{s t*} / (E1 - s), which misses at most e^{-12} of |Omega| /
-    (E1 - s) (see ``_HEAT_TAIL_STOP``). The curve is shared by every s on
-    the mesh. ``s`` must be finite and negative. Returns a dict with keys
-    ``lhs`` and ``rhs``.
+    (E1 - s) (see ``_HEAT_TAIL_STOP``). The model only chooses the stop:
+    both sides stay independent. The curve is shared by every s on the
+    mesh. ``s`` must be finite and negative. Returns a dict with keys
+    ``lhs``, ``rhs``, ``t_stop`` (t*) and ``tail_bound``
+    (e^{-12} |Omega| / (E1 - s)).
     """
     try:
         s = float(s)
@@ -788,8 +832,9 @@ def laplace_transform_check(mesh, s):
     horizon = _mesh_diameter(mesh) ** 2
     e1 = resolvent_model(mesh).e1
     curve = _heat_curve(mesh, horizon, t_small=horizon * 1e-3,
-                        stop=_HEAT_TAIL_STOP / e1)
+                        tail_stop=_HEAT_TAIL_STOP)
     weights = np.exp(s * curve.times) * curve.values
-    rhs = float(np.trapezoid(weights, curve.times))
-    rhs += weights[-1] / (e1 - s)
-    return {"lhs": lhs, "rhs": rhs}
+    rhs = float(np.trapezoid(weights, curve.times) + weights[-1] / (e1 - s))
+    tail_bound = math.exp(-_HEAT_TAIL_STOP) * curve.values[0] / (e1 - s)
+    return {"lhs": lhs, "rhs": rhs, "t_stop": float(curve.times[-1]),
+            "tail_bound": float(tail_bound)}

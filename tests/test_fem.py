@@ -461,16 +461,27 @@ def _count_lus(monkeypatch):
 
 
 def test_heat_content_takes_a_subnormal_time(monkeypatch):
-    # a subnormal least time lies far below the model's reach, and the
-    # ladder up to 0.5 that serves it starts at 1e-12 of 0.5: twelve
-    # decades, not 325
+    # below the model's reach the ladder up to 0.04 serves both times and
+    # starts at 1e-12 of 0.04: twelve decades, not 323
     lus, _ = _count_lus(monkeypatch)
     mesh = generate_mesh(Domain.disk(1.0), 0.2)
-    curve = heat_content(mesh, [5e-324, 0.5])
+    curve = heat_content(mesh, [5e-324, 0.04])
     assert curve.values[0] == pytest.approx(mesh.area(), rel=1e-12)
     assert 0 < curve.values[1] < curve.values[0]
     assert curve.scheme == "bdf2 dyadic m=1200"
     assert 0 < len(lus) <= math.ceil(math.log2(2 * 1200)) + 2
+    assert assemble(mesh).model is None
+    # at 0.5 the model serves, and the ladder serves the subnormal time
+    # alone: it gives the semi-discrete Q(0+) = m' M^-1 m, where the
+    # twelve-decade ladder up to 0.5 read Q(0) = |Omega| off its first step
+    asm = assemble(mesh)
+    m = asm.mass_times_one[asm.interior]
+    start = m @ scipy.sparse.linalg.spsolve(asm.M_II, m)
+    curve = heat_content(mesh, [5e-324, 0.5])
+    assert curve.scheme == "bdf2 dyadic m=100 + krylov ritz k=16"
+    assert curve.values[0] == pytest.approx(start, rel=1e-12)
+    assert curve.values[1] == pytest.approx(
+        fem.resolvent_model(mesh).heat([0.5])[0][0], rel=1e-14)
 
 
 def test_heat_content_builds_no_model_below_its_reach(monkeypatch):
@@ -484,10 +495,11 @@ def test_heat_content_builds_no_model_below_its_reach(monkeypatch):
     assert assemble(mesh).model is None
 
 
-def test_heat_content_takes_one_integrator_for_all_times():
+def test_heat_content_joins_ladder_and_model_at_a_decreasing_seam():
     # on the two-pole mesh graded for mu = -400 the gate fails at t = 0.1
-    # but passes at t = 7, so the ladder serves every time, and two times
-    # 1e-7 apart in relative terms keep Q strictly decreasing
+    # but passes at t = 7: the ladder serves up to the last failing time,
+    # the model the trailing one, and two times 1e-7 apart in relative
+    # terms keep Q strictly decreasing
     mesh = verify.mesh_for(Domain.disk(1.0), -400.0, 0.05)
     times = [0.1, 0.1 * (1 + 1e-7), 7.0]
     model = fem.resolvent_model(mesh)
@@ -496,7 +508,50 @@ def test_heat_content_takes_one_integrator_for_all_times():
     trusted = np.abs(full[1:] - nested[1:]) <= fem._HEAT_MODEL_GATE * lost
     assert trusted.tolist() == [False, False, True]
     curve = heat_content(mesh, times)
-    assert curve.scheme == "bdf2 dyadic m=200"
+    assert curve.scheme == "bdf2 dyadic m=100 + krylov ritz k=16"
+    head = fem._heat_curve(mesh, times[1], t_small=times[0])
+    assert curve.values[1] == head.values[-1]
+    assert curve.values[2] == full[3]
+    assert np.all(np.diff(curve.values) < 0)
+
+
+def test_heat_content_mixed_request_against_dense_eigh():
+    # a least time below the model's reach no longer hands the late times
+    # to the ladder, whose ground mode decays too fast: at T/2 and T it
+    # gave 0.897 and 0.572 of the time-exact Q
+    mesh = generate_mesh(Domain.disk(1.0), 0.2)
+    horizon = fem._mesh_diameter(mesh) ** 2
+    times = np.array([1e-3 * horizon, horizon / 2, horizon])
+    curve = heat_content(mesh, times)
+    assert curve.scheme == "bdf2 dyadic m=100 + krylov ritz k=16"
+    exact = _semi_discrete_heat(mesh)(times)
+    assert curve.values[0] == pytest.approx(exact[0], rel=1e-4)
+    assert curve.values[1:] == pytest.approx(exact[1:], rel=1e-6)
+    # a request the model serves in full is its sum, bit for bit
+    late = heat_content(mesh, times[1:])
+    assert late.scheme == "krylov ritz k=16"
+    model = fem.resolvent_model(mesh)
+    assert np.array_equal(late.values,
+                          model.heat(np.append(0.0, times[1:]))[0][1:])
+    assert late.values == pytest.approx(curve.values[1:], rel=1e-14)
+
+
+def test_heat_content_keeps_the_ladder_when_the_seam_rises(monkeypatch):
+    # a model value above the ladder's at the seam would break the
+    # decrease: every time then comes from the ladder, as before the join
+    mesh = generate_mesh(Domain.disk(1.0), 0.2)
+    horizon = fem._mesh_diameter(mesh) ** 2
+    times = [1e-3 * horizon, horizon / 2, horizon]
+
+    def lifted(model, ts):
+        # decreasing, far above |Omega|, and the nested sum agrees at T/2
+        # and T but not at 1e-3 T, so the model is trusted past the seam
+        full = 2e3 - np.asarray(ts)
+        return full, full + (full > 2e3 - 1.0)
+
+    monkeypatch.setattr(fem.ResolventModel, "heat", lifted)
+    curve = heat_content(mesh, times)
+    assert curve.scheme == "bdf2 dyadic m=300"
     assert np.all(np.diff(curve.values) < 0)
 
 
@@ -674,8 +729,8 @@ def test_laplace_transform_identity_tight(heat_disk):
 def test_heat_budget_on_a_fresh_disk(monkeypatch):
     # heat content over the fit window, then the Laplace check at three
     # shifts: one LU for the resolvent model, which serves the window, and
-    # eight for the Laplace ladder stopped at 12 / E1 (start-up Euler, rungs
-    # 4 to 256), shared by the three shifts
+    # six for the Laplace ladder, which the model stops at 1.9 / E1
+    # (start-up Euler, rungs 4 to 64), shared by the three shifts
     lus, solves = _count_lus(monkeypatch)
     mesh = generate_mesh(Domain.disk(1.0), 0.048)
     fem.resolvent_model(mesh)
@@ -687,33 +742,74 @@ def test_heat_budget_on_a_fresh_disk(monkeypatch):
     assert (len(lus), len(solves)) == (1, model_solves)
     for s in (-0.5, -1.0, -2.0):
         laplace_transform_check(mesh, s)
-    assert len(lus) == 9
+    assert len(lus) == 7
     # one triangular solve per step of the Laplace ladder
-    assert len(solves) - model_solves == 218
+    assert len(solves) - model_solves == 88
+
+
+def _stop_at_12_over_e1(curve, e1):
+    """Prefix of ``curve`` up to its first tick at or past 12 / E1."""
+    n = int(np.searchsorted(curve.times, fem._HEAT_TAIL_STOP / e1)) + 1
+    return curve.times[:n], curve.values[:n]
+
+
+def _closed_transform(times, values, e1, s):
+    """Trapezoid integral of e^{st} Q(t) plus the ground-mode closure."""
+    weights = np.exp(s * times) * values
+    return np.trapezoid(weights, times) + weights[-1] / (e1 - s)
 
 
 @pytest.mark.parametrize("domain", [
     Domain.disk(1.0), Domain.lshape(1.0, 1.0), Domain.annulus(1.0, 0.5),
-], ids=["disk", "lshape", "annulus"])
+    Domain.rectangle(1.0, 1.0),
+], ids=["disk", "lshape", "annulus", "square"])
 def test_laplace_check_stop_matches_full_horizon(domain):
     mesh = generate_mesh(domain, 0.048)
     horizon = fem._mesh_diameter(mesh) ** 2
     e1 = fem.resolvent_model(mesh).e1
     full = fem._heat_curve(mesh, horizon, 100, t_small=1e-3 * horizon)
     stopped = fem._heat_curve(mesh, horizon, 100, t_small=1e-3 * horizon,
-                              stop=fem._HEAT_TAIL_STOP / e1)
-    # the stop is the first tick at or past 12 / E1, well inside the horizon
+                              tail_stop=fem._HEAT_TAIL_STOP)
+    # the stopped curve is the full one's prefix, bit for bit, and ends no
+    # later than the first tick at or past 12 / E1
     n = len(stopped.times)
-    assert stopped.times[-2] < 12.0 / e1 <= stopped.times[-1] < horizon
-    # the stopped curve is the full one's prefix, bit for bit
     assert np.array_equal(stopped.times, full.times[:n])
     assert np.array_equal(stopped.values, full.values[:n])
+    old_times, old_values = _stop_at_12_over_e1(full, e1)
+    assert stopped.times[-1] < old_times[-1]
+    # dense eigh: the heat outside the ground mode at the stop is within
+    # the bound the closure assumes
+    asm = assemble(mesh)
+    lam, phi = scipy.linalg.eigh(asm.K_II.toarray(), asm.M_II.toarray())
+    w = (phi.T @ asm.mass_times_one[asm.interior]) ** 2
+    area = asm.mass_times_one.sum()
+    excited = w[1:] @ np.exp(-lam[1:] * stopped.times[-1])
+    assert excited <= math.exp(-fem._HEAT_TAIL_STOP) * area
+    # against the exact transform sum_i w_i / (lambda_i - s) the right side
+    # is no further off than under the 12 / E1 rule, and within 5e-4
     for s in (-0.5, -1.0, -2.0):
-        weights = np.exp(s * full.times) * full.values
-        rhs = (np.trapezoid(weights, full.times)
-               + full.values[-1] * math.exp(s * horizon) / (e1 - s))
+        exact = w @ (1.0 / (lam - s))
         out = laplace_transform_check(mesh, s)
-        assert out["rhs"] == pytest.approx(rhs, rel=1e-6, abs=0.0)
+        old = _closed_transform(old_times, old_values, e1, s)
+        assert abs(out["rhs"] - exact) <= abs(old - exact)
+        assert abs(out["rhs"] - exact) <= 5e-4 * exact
+        assert out["t_stop"] == stopped.times[-1]
+        assert out["tail_bound"] == pytest.approx(
+            math.exp(-fem._HEAT_TAIL_STOP) * area / (e1 - s), rel=1e-12)
+
+
+def test_laplace_check_stop_falls_back_to_12_over_e1_on_two_poles():
+    # on the two-pole mesh graded for mu = -400 the nested estimate is too
+    # cautious to vouch for the tail long before 12 / E1: the stop comes
+    # two ticks before the old one, and the identity holds as tightly
+    mesh = verify.mesh_for(Domain.disk(1.0), -400.0, 0.05)
+    horizon = fem._mesh_diameter(mesh) ** 2
+    e1 = fem.resolvent_model(mesh).e1
+    full = fem._heat_curve(mesh, horizon, 100, t_small=1e-3 * horizon)
+    old_times, _ = _stop_at_12_over_e1(full, e1)
+    out = laplace_transform_check(mesh, -1.0)
+    assert 11.5 <= out["t_stop"] * e1 and out["t_stop"] < old_times[-1]
+    assert abs(out["rhs"] / out["lhs"] - 1.0) <= 1e-3
 
 
 def test_dropped_mesh_is_freed_without_gc():
