@@ -9,9 +9,31 @@ increasing, its inverse at the constraint value gives the eigenvalue, and
 the optimal parameter is the rescaled normal flux of U_s. Heat-content
 time stepping, modified-Bessel closed forms, and corner-coefficient
 quadrature provide independent verification channels.
+
+The band Cholesky factorizations of ``fem`` run fastest on one thread, and
+a second OpenBLAS thread can stall them for tens of milliseconds. The numpy
+and scipy wheels each bundle their own OpenBLAS, which reads its thread
+count once, when it is loaded. So numpy is imported first and keeps the
+caller's setting, and scipy's linear algebra is loaded with
+``OPENBLAS_NUM_THREADS=1`` unless the caller set that variable; the
+environment is then restored. A program that loads ``scipy.linalg`` before
+robinopt should set ``OPENBLAS_NUM_THREADS=1`` itself.
 """
 
-from .errors import (
+import os
+
+import numpy  # noqa: F401  (loads numpy's OpenBLAS with the caller's setting)
+
+_THREADS_SET = "OPENBLAS_NUM_THREADS" in os.environ
+if not _THREADS_SET:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import scipy.linalg  # noqa: F401
+finally:
+    if not _THREADS_SET:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+from .errors import (  # noqa: E402
     GeometryError,
     MeshResourceError,
     ResolutionCapError,

@@ -18,11 +18,16 @@ once the model shows the heat outside the ground mode below e^-12 |Omega|,
 at 12 / E1 at the latest, and closes the tail with the ground mode, which
 misses at most e^-12 of |Omega| / (E1 - s).
 
-Every sparse LU goes through ``_factorize``: SuperLU with a symmetric
-minimum-degree ordering and diagonal pivots, which suits these symmetric
-systems. At most one factorization is live at a time. Other sums of
-matrices are applied, not built: K + B(sigma) as K v + d * v and K - s M
-as K v - s (M v).
+Every factorization goes through ``_factorize``: a LAPACK band Cholesky in
+the mesh's reverse Cuthill-McKee order, built once per ``Assembly``, and
+SuperLU with a symmetric minimum-degree ordering and diagonal pivots only
+for a band of more than 2**23 entries or a system that is not positive
+definite (an eigen shift above the least eigenvalue). ``robinopt`` loads
+scipy's OpenBLAS single-threaded unless the caller set
+``OPENBLAS_NUM_THREADS``, since a second thread stalls the band kernel. At
+most one factorization is live at a time. Other sums of matrices are
+applied, not built: K + B(sigma) as K v + d * v and K - s M as
+K v - s (M v).
 
 All solves are deterministic. Assembled matrices, their interior blocks,
 resolvent solutions, the resolvent model (with E1), and heat curves are
@@ -39,9 +44,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.lapack import dsygv
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dsygv
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 # cg and eigsh are not called here; they stay bound because the benchmark
-# tracer (and some tests) patch and count fem.cg and fem.eigsh by name
+# tracer (and some tests) patch and count fem.splu, fem.cg and fem.eigsh by
+# name
 from scipy.sparse.linalg import cg, eigsh, splu
 
 from .errors import (
@@ -196,6 +203,10 @@ class Assembly:
     M : consistent mass, symmetric positive definite
     K_II, M_II : their interior blocks (CSC), the Dirichlet systems
     boundary_node_weights : lumped boundary measure per boundary node
+    order : reverse Cuthill-McKee order of all nodes, on M's pattern,
+        which contains K's; the band order of ``_factorize``
+    interior_order : ``order`` restricted to the interior nodes, as
+        positions in K_II
 
     The mesh is held through a weak reference: the mesh owns its assembly,
     so a strong one back would keep a dropped mesh alive until a full
@@ -215,6 +226,11 @@ class Assembly:
         self.K_II = self.K[idx][:, idx].tocsc()
         self.M_II = self.M[idx][:, idx].tocsc()
         self.mass_times_one = np.asarray(self.M @ np.ones(n))
+        self.order = reverse_cuthill_mckee(self.M, symmetric_mode=True)
+        position = np.full(n, -1)
+        position[idx] = np.arange(len(idx))
+        inner = position[self.order]
+        self.interior_order = inner[inner >= 0]
         self.model = None  # the ResolventModel, built on first use
         # shift -> nodal values; wrapped on return, so no mesh is stored
         self._resolvent_cache = {}
@@ -281,20 +297,68 @@ def assemble(mesh):
     return asm
 
 
-def _factorize(A):
-    """Sparse LU of a symmetric system, ordered for symmetry.
+# entries (b + 1) n of a band factor, b its bandwidth, past which
+# _factorize hands a system to SuperLU (64 MB). On P1 meshes a band grows
+# like n^1.5 and SuperLU's fill like n log n: on the unit disk at h = 0.01
+# (31k interior nodes, b = 240) the band holds 7.5M entries against 2.6M in
+# SuperLU's L and U, and is still faster (124 against 160 ms). The
+# benchmark's largest band holds 1.3M
+_BAND_BUDGET = 2**23
 
-    Minimum degree on A' + A with diagonal pivots and SuperLU's symmetric
-    mode: on the SPD (or shifted SPD) systems here the factors stay close
-    to a Cholesky factor, with about a third less fill and time than the
-    default column ordering.
+
+class _BandCholesky:
+    """Lower band Cholesky factor of A[order][:, order]; solves A x = b."""
+
+    def __init__(self, band, order):
+        self._band = band
+        self._order = order
+
+    def solve(self, rhs):
+        y = dpbtrs(self._band, rhs[self._order], lower=1)[0]
+        x = np.empty_like(y)
+        x[self._order] = y
+        return x
+
+
+def _factorize(A, order):
+    """Factors of a symmetric system A, with a ``solve(rhs)`` method.
+
+    ``order`` is a reverse Cuthill-McKee order of A's nodes (``Assembly``'s
+    ``order`` or ``interior_order``), which narrows the band of P1 systems
+    to b = 20-130 on the benchmark's n = 1.2k-11k nodes. A permuted to that
+    order gets a LAPACK band Cholesky (``dpbtrf``), the envelope method for
+    sparse SPD systems (George and Liu, 1981), faster than SuperLU there.
+    Two cases go to SuperLU instead, with a symmetric minimum-degree order
+    (MMD on A' + A), diagonal pivots and its symmetric mode: a band of more
+    than ``_BAND_BUDGET`` entries, and a matrix that is not positive
+    definite, as the eigen path's K + B - shift M is for a shift above the
+    least eigenvalue. A band factor therefore also certifies that every
+    eigenvalue of A is positive. The band kernel is fastest single-threaded;
+    ``robinopt`` loads scipy's OpenBLAS with one thread unless the caller
+    set ``OPENBLAS_NUM_THREADS``.
     """
+    A = A.tocoo()
+    n = A.shape[0]
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    rows, cols = rank[A.row], rank[A.col]
+    lower = rows >= cols
+    cols = cols[lower]
+    diagonal = rows[lower] - cols  # of the band, 0 the main one
+    width = int(diagonal.max(initial=0))
+    if (width + 1) * n <= _BAND_BUDGET:
+        # LAPACK's lower band storage: A[i, j] at band[i - j, j]
+        band = sparse.coo_matrix((A.data[lower], (diagonal, cols)),
+                                 shape=(width + 1, n)).toarray(order="F")
+        band, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        if info == 0:
+            return _BandCholesky(band, order)
     return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                 options={"SymmetricMode": True})
 
 
-def _solve_spd(A, rhs):
-    """Direct sparse solve of an SPD system, residual-checked.
+def _solve_spd(A, rhs, order):
+    """Direct sparse solve of an SPD system in ``order``, residual-checked.
 
     ``SolverError`` if the factorization fails or its solution misses the
     gate ||A x - b|| <= 1e-10 (1 + ||b||). Next to a singular shift that
@@ -302,11 +366,10 @@ def _solve_spd(A, rhs):
     nor conjugate gradients get under it, so there is no fallback.
     """
     rhs = np.asarray(rhs, dtype=float)
-    A_csc = A.tocsc()
     gate = 1e-10 * (1.0 + np.linalg.norm(rhs))
     try:
-        x = _factorize(A_csc).solve(rhs)
-        resid = float(np.linalg.norm(A_csc @ x - rhs))
+        x = _factorize(A, order).solve(rhs)
+        resid = float(np.linalg.norm(A @ x - rhs))
     except RuntimeError:  # an exactly singular factor
         resid = math.inf
     if not resid <= gate:
@@ -369,7 +432,7 @@ def solve_resolvent(mesh, s):
     u_int = model.galerkin(s)
     resid = np.linalg.norm(K @ u_int - s * (M @ u_int) - m1)
     if not resid <= _GALERKIN_GATE * np.linalg.norm(m1):
-        u_int = _solve_spd(K - s * M, m1)
+        u_int = _solve_spd(K - s * M, m1, asm.interior_order)
     if u_int.min() <= 0.0:
         raise SolverError(
             f"resolvent solution lost positivity (min {u_int.min():g}); "
@@ -421,7 +484,7 @@ def resolvent_model(mesh):
     k = 0
     for p in poles:
         lu = None  # release the last pole's factors before the next
-        lu = _factorize(K - p * M)
+        lu = _factorize(K - p * M, asm.interior_order)
         rhs = m1
         for _ in range(_KRYLOV_DEPTH // len(poles)):
             w = lu.solve(rhs)
@@ -442,7 +505,7 @@ def resolvent_model(mesh):
     ritz, Y = np.linalg.eigh(T)
     V = Q @ Y
     e1 = _ground_pair(K, M, np.zeros(len(m1)), V[:, 0], 1e-8 * ritz[0], 0.0,
-                      0.0, lu)[0]
+                      0.0, asm.interior_order, lu)[0]
     half = min(k, _KRYLOV_DEPTH // 2)
     nested_ritz, Y = np.linalg.eigh(T[:half, :half])
     asm.model = ResolventModel(ritz, V, V.T @ m1, e1, nested_ritz,
@@ -510,25 +573,27 @@ def robin_principal_eigenvalue(mesh, sigma, v0=None):
     # lambda >= 4 min(d / m, 0), m the lumped masses: K >= 0, M >= diag(m) / 4
     floor = 4.0 * min(0.0, float((d / asm.mass_times_one).min()))
     lam, v, resid, its = _ground_pair(asm.K, asm.M, d, v, _EIGEN_TOL, shift,
-                                      floor)
+                                      floor, asm.order)
     v = v if v @ asm.mass_times_one > 0 else -v
     return SpectralResult(lam, FieldSolution(mesh, v, TAG_EIGENFUNCTION),
                           resid, its)
 
 
-def _ground_pair(K, M, d, v, tol, shift, floor, lu=None):
+def _ground_pair(K, M, d, v, tol, shift, floor, order, lu=None):
     """Lowest eigenpair of (K + diag(d), M) by block-one LOBPCG from ``v``.
 
     Rayleigh-Ritz on the M-normalized iterate x, the preconditioned residual
     T r and the last step (Knyazev, SIAM J. Sci. Comput. 23(2), 2001), with
-    T = (A - shift M)^-1 factorized once, or the given ``lu``. A start that
-    meets ``tol`` is returned after 0 steps, with nothing built. A ``shift``
-    of None or above rho is reset to rho - 0.05 (1 + |rho|); after 15 steps
-    at one shift it moves up to rho - 2 ||r||_{M^-1} if that is higher. Above
-    the least eigenvalue T is indefinite, and a higher mode can stop the
-    iteration: a converged x that changes sign, from a shift above the lower
-    bound ``floor``, restarts it from the constants below ``floor``. Returns
-    (rho, x, residual, steps); ``SolverError`` after 200 steps.
+    T = (A - shift M)^-1 factorized once in ``order``, or the given ``lu``.
+    A start that meets ``tol`` is returned after 0 steps, with nothing
+    built. A ``shift`` of None or above rho is reset to
+    rho - 0.05 (1 + |rho|); after 15 steps at one shift it moves up to
+    rho - 2 ||r||_{M^-1} if that is higher. Above the least eigenvalue T
+    is indefinite (``_factorize`` then takes SuperLU), and a higher mode
+    can stop the iteration: a converged x that changes sign, from a shift
+    above the lower bound ``floor``, restarts it from the constants below
+    ``floor``. Returns (rho, x, residual, steps); ``SolverError`` after 200
+    steps.
     """
     n = len(v)
     S, AS, MS = (np.empty((n, 3), order="F") for _ in range(3))
@@ -566,7 +631,7 @@ def _ground_pair(K, M, d, v, tol, shift, floor, lu=None):
                 shift, lu, held = near, None, 0
         if lu is None:
             try:
-                lu = _factorize(K + sparse.diags(d) - shift * M)
+                lu = _factorize(K + sparse.diags(d) - shift * M, order)
             except RuntimeError as exc:
                 raise SolverError(
                     f"factorization failed at shift {shift:g}: {exc}")
@@ -616,7 +681,9 @@ def _heat_curve(mesh, horizon, steps_per_decade=_STEPS_PER_DECADE,
     horizon. With ``tail_stop`` k it ends instead at the first tick t where
     the heat outside the ground mode is shown to be at most e^-k |Omega|:
     by the resolvent model's ``excited_heat``, or by the bound
-    e^{-E1 t} |Omega| once t >= k / E1, whichever comes first.
+    e^{-E1 t} |Omega| once t >= k / E1, whichever comes first. The model is
+    asked only from max_{i>1} ln(c_i^2 e^k / |Omega|) / ritz_i on: before,
+    one of its terms alone exceeds the bound.
     A step grows only while dt rho <= 1/2, with rho >= E1 the Rayleigh
     quotient of the state: BDF2's roots for the ground mode are real up to
     dt E1 = 1/2, and past it Q(t) oscillates in sign. On short ladders
@@ -653,16 +720,23 @@ def _heat_curve(mesh, horizon, steps_per_decade=_STEPS_PER_DECADE,
     q = [float(asm.mass_times_one.sum())]  # Q(0) = mesh area
     # (tick, M v) of the last three states; M v(0) = m1 projects the full 1
     recent = [(0, m1)]
-    model, stop = None, math.inf
+    model, stop, probe = None, math.inf, math.inf
     if tail_stop is not None:
         model = resolvent_model(mesh)
         stop = tail_stop / model.e1
         floor = math.exp(-tail_stop) * q[0]
+        # each term c_i^2 e^{-ritz_i t}, i > 1, bounds excited_heat from
+        # below, so the model cannot show the stop before the latest time
+        # one of them reaches floor; it is asked only from then on
+        probe = max((math.log(c2 / floor) / ritz for c2, ritz
+                     in zip(model.loadings[1:] ** 2, model.ritz[1:])
+                     if c2 > floor), default=0.0)
     lu = None
     system = None  # (BDF2?, step) of the live factors
     step = 0  # the last step, in units of dt0
     while (ticks[-1] < total and ticks[-1] * dt0 < stop
-           and (model is None or model.excited_heat(ticks[-1] * dt0) > floor)):
+           and (ticks[-1] * dt0 < probe
+                or model.excited_heat(ticks[-1] * dt0) > floor)):
         k = ticks[-1]
         Mv = recent[-1][1]
         # largest 2^j <= 2 sqrt(k), from 4^j <= 4k in integers; 4 at k = 0
@@ -677,7 +751,8 @@ def _heat_curve(mesh, horizon, steps_per_decade=_STEPS_PER_DECADE,
         bdf2 = back is not None
         if (bdf2, step) != system:
             lu = None  # release the last system's factors before the next
-            lu = _factorize((1.5 if bdf2 else 1.0) * M + (step * dt0) * K)
+            lu = _factorize((1.5 if bdf2 else 1.0) * M + (step * dt0) * K,
+                            asm.interior_order)
             system = (bdf2, step)
         v = lu.solve(2.0 * Mv - 0.5 * back if bdf2 else Mv)
         ticks.append(k + step)

@@ -115,12 +115,12 @@ def test_sweep_eigen_cross_check_factorizes_nothing(monkeypatch, capsys):
     # cross-check only confirms it
     in_eigen = []
     lus_in_eigen = []
-    splu, eigen = fem.splu, fem.robin_principal_eigenvalue
+    factorize, eigen = fem._factorize, fem.robin_principal_eigenvalue
 
-    def counting_splu(*args, **kwargs):
+    def counting_factorize(*args, **kwargs):
         if in_eigen:
             lus_in_eigen.append(1)
-        return splu(*args, **kwargs)
+        return factorize(*args, **kwargs)
 
     def marked_eigen(*args, **kwargs):
         in_eigen.append(1)
@@ -129,7 +129,7 @@ def test_sweep_eigen_cross_check_factorizes_nothing(monkeypatch, capsys):
         finally:
             in_eigen.pop()
 
-    monkeypatch.setattr(fem, "splu", counting_splu)
+    monkeypatch.setattr(fem, "_factorize", counting_factorize)
     monkeypatch.setattr(fem, "robin_principal_eigenvalue", marked_eigen)
     code, out, _ = run(capsys, "sweep", "--domain", "disk:1", "--h", "0.1",
                        "--mu-from", "-10", "--mu-to", "4", "--mu-count", "8")
@@ -143,13 +143,13 @@ def test_sweep_factorizes_once_per_mesh(monkeypatch, capsys):
     # solve is the model's certified Galerkin solution, and E1 comes with
     # the model
     calls = []
-    splu = fem.splu
+    factorize = fem._factorize
 
-    def counting_splu(*args, **kwargs):
+    def counting_factorize(*args, **kwargs):
         calls.append(1)
-        return splu(*args, **kwargs)
+        return factorize(*args, **kwargs)
 
-    monkeypatch.setattr(fem, "splu", counting_splu)
+    monkeypatch.setattr(fem, "_factorize", counting_factorize)
     code, out, _ = run(capsys, "sweep", "--domain", "disk:1", "--h", "0.1",
                        "--mu-from", "-20", "--mu-to", "8", "--mu-count", "8")
     assert code == 0
@@ -468,3 +468,19 @@ def test_cli_import_leaves_integrate_and_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.splitlines() == ["[]", "0 []"]
+
+
+@pytest.mark.parametrize("threads", [None, "3"])
+def test_import_leaves_the_callers_openblas_setting(threads):
+    # robinopt loads scipy's OpenBLAS single-threaded only when the caller
+    # set no thread count, and leaves the environment as it found it
+    code = ("import os, robinopt\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(robinopt.__file__)))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == str(threads)

@@ -242,13 +242,13 @@ def test_robin_eigen_warm_start_one_factorization(monkeypatch,
     mesh = disk_mesh_coarse
     res, cases = eigen_cases
     lus = []
-    original = fem.splu
+    original = fem._factorize
 
-    def counting_splu(*args, **kwargs):
+    def counting_factorize(*args, **kwargs):
         lus.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(fem, "splu", counting_splu)
+    monkeypatch.setattr(fem, "_factorize", counting_factorize)
     out = robin_principal_eigenvalue(
         mesh, BoundaryFunction(mesh, cases["perturbed"]),
         v0=res.u_mu.values.copy())
@@ -264,13 +264,13 @@ def test_robin_eigen_converged_warm_start_needs_no_factorization(
     res = optimize(mesh, mu)
     M = assemble(mesh).M
     lus = []
-    original = fem.splu
+    original = fem._factorize
 
-    def counting_splu(*args, **kwargs):
+    def counting_factorize(*args, **kwargs):
         lus.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(fem, "splu", counting_splu)
+    monkeypatch.setattr(fem, "_factorize", counting_factorize)
     out = robin_principal_eigenvalue(mesh, res.sigma_mu,
                                      v0=res.u_mu.values)
     v = out.eigenfunction.values
@@ -392,8 +392,86 @@ def test_solve_spd_refuses_unchecked_cg_answer(disk_mesh_mid):
     s = estimate_dirichlet_e1(disk_mesh_mid) * (1 - 1e-6)
     rhs = asm.mass_times_one[asm.interior]
     with pytest.raises(SolverError, match="residual gate") as err:
-        fem._solve_spd(asm.K_II - s * asm.M_II, rhs)
+        fem._solve_spd(asm.K_II - s * asm.M_II, rhs, asm.interior_order)
     assert err.value.residual > 1e-10 * (1 + np.linalg.norm(rhs))
+
+
+def _superlu(A):
+    return fem.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0, options={"SymmetricMode": True})
+
+
+def _bandwidth(A, order):
+    rank = np.argsort(order)
+    A = A.tocoo()
+    return int(np.abs(rank[A.row] - rank[A.col]).max())
+
+
+@pytest.mark.parametrize("name",
+                         ["disk", "annulus", "rect", "ngon", "lshape"])
+def test_band_cholesky_matches_superlu(catalogue, name):
+    # each kind of system the program factorizes, in its own order: a Robin
+    # eigen shift below lambda_1 on all nodes; resolvent shifts (the model's
+    # poles 0 and -s_cap, a direct solve near E1) and a heat rung inside
+    mesh = generate_mesh(catalogue[name], 0.05)
+    asm = assemble(mesh)
+    sigma = BoundaryFunction.constant(mesh, -2.0)
+    lam = robin_principal_eigenvalue(mesh, sigma).eigenvalue
+    K, M, m1 = asm.K_II, asm.M_II, asm.mass_times_one[asm.interior]
+    robin = (asm.K + scipy.sparse.diags(asm.boundary_diagonal(sigma))
+             - (lam - 1.0) * asm.M)
+    systems = [(robin, asm.order, asm.mass_times_one)]
+    for s in (0.0, -37.5, -fem._s_cap(mesh),
+              0.9 * estimate_dirichlet_e1(mesh)):
+        systems.append((K - s * M, asm.interior_order, m1))
+    systems.append((1.5 * M + 1e-3 * K, asm.interior_order, m1))
+    for A, order, b in systems:
+        lu = fem._factorize(A, order)
+        assert isinstance(lu, fem._BandCholesky)
+        x, ref = lu.solve(b), _superlu(A).solve(b)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(A @ x - b) <= 1e-11 * np.linalg.norm(b)
+    # the interior order is the full one restricted: no wider a band
+    assert sorted(asm.order) == list(range(len(mesh.nodes)))
+    assert sorted(asm.interior_order) == list(range(len(asm.interior)))
+    assert (_bandwidth(K, asm.interior_order)
+            <= _bandwidth(asm.M, asm.order))
+
+
+def test_factorize_takes_superlu_above_least_eigenvalue(disk_mesh_coarse):
+    # K + B - shift M is indefinite for a shift above lambda_1: no Cholesky
+    mesh = disk_mesh_coarse
+    asm = assemble(mesh)
+    sigma = BoundaryFunction.constant(mesh, -2.0)
+    lam = robin_principal_eigenvalue(mesh, sigma).eigenvalue
+    A = (asm.K + scipy.sparse.diags(asm.boundary_diagonal(sigma))
+         - (lam + 1.0) * asm.M)
+    lu = fem._factorize(A, asm.order)
+    assert not isinstance(lu, fem._BandCholesky)
+    b = asm.mass_times_one
+    assert np.linalg.norm(A @ lu.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_factorize_takes_superlu_past_band_budget(monkeypatch,
+                                                  disk_mesh_coarse):
+    asm = assemble(disk_mesh_coarse)
+    A = asm.K_II - 2.0 * asm.M_II
+    b = asm.mass_times_one[asm.interior]
+    band = fem._factorize(A, asm.interior_order)
+    assert isinstance(band, fem._BandCholesky)
+    width = _bandwidth(A, asm.interior_order)
+    monkeypatch.setattr(fem, "_BAND_BUDGET", width * len(b))
+    lu = fem._factorize(A, asm.interior_order)
+    assert not isinstance(lu, fem._BandCholesky)
+    x = lu.solve(b)
+    assert np.linalg.norm(x - band.solve(b)) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_tracer_names_stay_bound():
+    # the benchmark tracer patches and counts these names on fem
+    assert fem.splu is scipy.sparse.linalg.splu
+    assert fem.cg is scipy.sparse.linalg.cg
+    assert fem.eigsh is scipy.sparse.linalg.eigsh
 
 
 def test_dirichlet_ground_energy(disk_mesh_mid, square_mesh_mid):
@@ -440,9 +518,9 @@ def test_heat_content_validates_times(square_mesh_mid):
 
 
 def _count_lus(monkeypatch):
-    """Factorizations and triangular solves made through ``fem.splu``."""
+    """Factorizations and triangular solves made by ``fem._factorize``."""
     lus, solves = [], []
-    original = fem.splu
+    original = fem._factorize
 
     class CountingLU:
         def __init__(self, lu):
@@ -452,11 +530,11 @@ def _count_lus(monkeypatch):
             solves.append(1)
             return self._lu.solve(rhs)
 
-    def counting_splu(A, *args, **kwargs):
+    def counting_factorize(A, *args, **kwargs):
         lus.append(A.shape)
         return CountingLU(original(A, *args, **kwargs))
 
-    monkeypatch.setattr(fem, "splu", counting_splu)
+    monkeypatch.setattr(fem, "_factorize", counting_factorize)
     return lus, solves
 
 
@@ -561,10 +639,10 @@ def test_laplace_transform_rejects_bad_shift_before_factorizing(
         monkeypatch, s):
     mesh = generate_mesh(Domain.disk(1.0), 0.2)
 
-    def no_splu(*args, **kwargs):
+    def no_factorize(*args, **kwargs):
         raise AssertionError("factorized before rejecting the shift")
 
-    monkeypatch.setattr(fem, "splu", no_splu)
+    monkeypatch.setattr(fem, "_factorize", no_factorize)
     with pytest.raises(GeometryError):
         laplace_transform_check(mesh, s)
 
@@ -599,13 +677,13 @@ def test_laplace_transform_limits(square_mesh_mid):
 ])
 def test_heat_curve_dyadic_ladder(monkeypatch, horizon, steps, t_small):
     lus = []
-    original = fem.splu
+    original = fem._factorize
 
-    def counting_splu(A, *args, **kwargs):
+    def counting_factorize(A, *args, **kwargs):
         lus.append(A.shape)
         return original(A, *args, **kwargs)
 
-    monkeypatch.setattr(fem, "splu", counting_splu)
+    monkeypatch.setattr(fem, "_factorize", counting_factorize)
     mesh = generate_mesh(Domain.disk(1.0), 0.1)
     curve = fem._heat_curve(mesh, horizon, steps, t_small=t_small)
     decades = math.ceil(math.log10(horizon / t_small)) if t_small else 1
@@ -777,6 +855,11 @@ def test_laplace_check_stop_matches_full_horizon(domain):
     assert np.array_equal(stopped.values, full.values[:n])
     old_times, old_values = _stop_at_12_over_e1(full, e1)
     assert stopped.times[-1] < old_times[-1]
+    # it ends where asking the model at every tick would end it
+    model = fem.resolvent_model(mesh)
+    floor = math.exp(-fem._HEAT_TAIL_STOP) * full.values[0]
+    assert n == 1 + next(i for i, t in enumerate(full.times)
+                         if model.excited_heat(t) <= floor)
     # dense eigh: the heat outside the ground mode at the stop is within
     # the bound the closure assumes
     asm = assemble(mesh)
@@ -796,6 +879,26 @@ def test_laplace_check_stop_matches_full_horizon(domain):
         assert out["t_stop"] == stopped.times[-1]
         assert out["tail_bound"] == pytest.approx(
             math.exp(-fem._HEAT_TAIL_STOP) * area / (e1 - s), rel=1e-12)
+
+
+@pytest.mark.parametrize("domain", [Domain.disk(1.0), Domain.lshape(1.0, 1.0)],
+                         ids=["disk", "lshape"])
+def test_laplace_ladder_asks_the_model_once(monkeypatch, domain):
+    # before the latest time a single excited term c_i^2 e^{-ritz_i t}
+    # reaches the floor the model cannot show the stop, and it is not asked;
+    # on the heat benchmark's meshes the first tick it is asked is the stop
+    calls = []
+    excited_heat = fem.ResolventModel.excited_heat
+
+    def counting(self, t):
+        calls.append(t)
+        return excited_heat(self, t)
+
+    monkeypatch.setattr(fem.ResolventModel, "excited_heat", counting)
+    mesh = generate_mesh(domain, 0.048)
+    outs = [laplace_transform_check(mesh, s) for s in (-0.5, -1.0, -2.0)]
+    assert len(calls) == 1
+    assert calls[0] == pytest.approx(outs[0]["t_stop"], rel=1e-14)
 
 
 def test_laplace_check_stop_falls_back_to_12_over_e1_on_two_poles():

@@ -87,7 +87,7 @@ def test_positive_mu_out_of_range_is_one_exact_probe(monkeypatch):
     # the model; the model puts the root beyond the E1 floor, and one exact
     # F there, too close to E1 for the model's solution, confirms it
     mesh = generate_mesh(Domain.disk(1.0), 0.05, boundary_layer_width=0.045)
-    calls = {"splu": 0, "cg": 0, "eval_F": 0}
+    calls = {"_factorize": 0, "cg": 0, "eval_F": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -95,24 +95,25 @@ def test_positive_mu_out_of_range_is_one_exact_probe(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(fem, "splu", counting("splu", fem.splu))
+    monkeypatch.setattr(fem, "_factorize",
+                        counting("_factorize", fem._factorize))
     monkeypatch.setattr(fem, "cg", counting("cg", fem.cg))
     monkeypatch.setattr(optimizer, "eval_F",
                         counting("eval_F", optimizer.eval_F))
     with pytest.raises(SpectralRangeError, match="smaller mu"):
         optimize(mesh, 1e9)
-    assert calls == {"splu": 2, "cg": 0, "eval_F": 1}
+    assert calls == {"_factorize": 2, "cg": 0, "eval_F": 1}
 
 
-def _counting_splu(monkeypatch):
+def _counting_factorize(monkeypatch):
     calls = []
-    splu_ = fem.splu
+    factorize = fem._factorize
 
-    def counting_splu(*args, **kwargs):
+    def counting_factorize(*args, **kwargs):
         calls.append(1)
-        return splu_(*args, **kwargs)
+        return factorize(*args, **kwargs)
 
-    monkeypatch.setattr(fem, "splu", counting_splu)
+    monkeypatch.setattr(fem, "_factorize", counting_factorize)
     return calls
 
 
@@ -126,7 +127,7 @@ def test_model_pole_zero_alone_lu_budget(monkeypatch):
     # pole 0 alone serves the mesh graded for mu = -100: one model LU, and
     # a direct solve only where a root leaves the model's reach
     mesh = verify.mesh_for(Domain.disk(1.0), -100.0, 0.03)
-    calls = _counting_splu(monkeypatch)
+    calls = _counting_factorize(monkeypatch)
     res = optimize(mesh, -100.0)
     assert res.sigma_integral_error <= res.tol
     _assert_roots(mesh, np.linspace(-100.0, 8.0, 8))
@@ -138,7 +139,7 @@ def test_model_adds_pole_s_cap_past_its_reach(monkeypatch):
     # more direct solves near -s_cap than it costs (pole 0 alone: 16 LUs)
     mesh = verify.mesh_for(Domain.disk(1.0), -400.0, 0.03)
     assert fem._s_cap(mesh) * mesh.area() > fem._ONE_POLE_REACH
-    calls = _counting_splu(monkeypatch)
+    calls = _counting_factorize(monkeypatch)
     _assert_roots(mesh, np.linspace(-400.0, 8.0, 8))
     assert len(calls) == 15
 
@@ -160,8 +161,8 @@ def _direct_resolvent(mesh, s):
     """Nodal values of U_s by a direct factorization made here."""
     asm = assemble(mesh)
     u = np.zeros(len(mesh.nodes))
-    u[asm.interior] = fem._factorize(asm.K_II - s * asm.M_II).solve(
-        asm.mass_times_one[asm.interior])
+    lu = fem._factorize(asm.K_II - s * asm.M_II, asm.interior_order)
+    u[asm.interior] = lu.solve(asm.mass_times_one[asm.interior])
     return u
 
 

@@ -13,12 +13,16 @@ the benchmark files of their own checkout.
 The JSON written to ``--out`` holds the host, both commits, every run, each
 side's median and quartiles per end-to-end metric, how many pairs the tree
 won (lower is better; ties count for neither side), and the traced metrics.
+The host record names the numpy and scipy versions and the OpenBLAS and
+OpenMP thread variables as this interpreter sees them (null when unset):
+factorization speed depends on them.
 Needs only the standard library and git; run it from anywhere in the
 repository, on an otherwise idle machine.
 """
 
 import argparse
 import datetime
+import importlib.metadata
 import json
 import os
 import platform
@@ -110,7 +114,11 @@ def main():
             timespec="seconds"),
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "system": platform.platform(),
-                 "python": platform.python_version()},
+                 "python": platform.python_version(),
+                 **{pkg: importlib.metadata.version(pkg)
+                    for pkg in ("numpy", "scipy")},
+                 **{var: os.environ.get(var)
+                    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}},
         "commits": {
             "parent": _git("rev-parse", args.parent),
             "change": _git("rev-parse", "HEAD"),
