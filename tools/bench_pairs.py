@@ -10,9 +10,17 @@ pair. ``PAIRS`` fixes the number of pairs per workload. After the pairs,
 one traced run on seed 1 per side gives the per-layer counts. Both sides use
 the benchmark files of their own checkout.
 
+The LAPACK probe runs each side once more on seed 1, in a fresh interpreter:
+it builds the workload, runs one round to warm up, then wraps
+``robinopt.fem.dpbtrf``, ``dpbtrs`` and ``splu`` by name and runs one more
+round. It records, for that round, the calls and seconds of each, and how
+many ``dpbtrf`` calls failed (info != 0, a system that is not positive
+definite).
+
 The JSON written to ``--out`` holds the host, both commits, every run, each
 side's median and quartiles per end-to-end metric, how many pairs the tree
-won (lower is better; ties count for neither side), and the traced metrics.
+won (lower is better; ties count for neither side), the traced metrics and
+the LAPACK probe (``lapack_seed1``).
 The host record names the numpy and scipy versions and the OpenBLAS and
 OpenMP thread variables as this interpreter sees them (null when unset):
 factorization speed depends on them.
@@ -70,6 +78,59 @@ def _run(checkout, workload, seed, seconds, trace):
     return {"seed": seed, "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+# The probe, run in the checkout by ``python -c``; prints one JSON line
+_PROBE = """
+import json, sys, tempfile, time
+import robinopt.cli
+import robinopt as rb
+import workloads
+
+name = sys.argv[1]
+counts = {}
+
+
+def wrap(fn, key):
+    def wrapped(*args, **kwargs):
+        t0 = time.perf_counter()
+        out = fn(*args, **kwargs)
+        entry = counts[key]
+        entry["s"] += time.perf_counter() - t0
+        entry["calls"] += 1
+        if key == "dpbtrf" and out[1] != 0:
+            entry["failed"] += 1
+        return out
+    return wrapped
+
+
+with tempfile.TemporaryDirectory() as tmp:
+    work = workloads.build(name, rb, 1, tmp)
+    for _, fn in work.ops:
+        fn()
+    for key in ("dpbtrf", "dpbtrs", "splu"):
+        counts[key] = {"calls": 0, "s": 0.0}
+        setattr(rb.fem, key, wrap(getattr(rb.fem, key), key))
+    counts["dpbtrf"]["failed"] = 0
+    for _, fn in work.ops:
+        fn()
+print(json.dumps(counts))
+"""
+
+
+def _probe(checkout, workload):
+    """LAPACK and SuperLU calls of one warm round on seed 1."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        str(Path(checkout) / d) for d in ("src", "perfbench")))
+    env.pop("ROBINOPT_JOBS", None)
+    proc = subprocess.run([sys.executable, "-c", _PROBE, workload],
+                          cwd=checkout, env=env, capture_output=True,
+                          text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        return {"error": f"exit {proc.returncode}: "
+                f"{proc.stderr.strip()[-500:]}"}
+    return json.loads(lines[-1])
 
 
 def _spread(values):
@@ -156,6 +217,8 @@ def main():
                 "pairs": pairs,
                 "summary": _summary(pairs, metrics),
                 "traced_seed1": traced,
+                "lapack_seed1": {side: _probe(sides[side], workload)
+                                 for side in ("parent", "change")},
             }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     return 0
