@@ -17,15 +17,47 @@ count once, when it is loaded. So numpy is imported first and keeps the
 caller's setting, and scipy's linear algebra is loaded with
 ``OPENBLAS_NUM_THREADS=1`` unless the caller set that variable; the
 environment is then restored. A program that loads ``scipy.linalg`` before
-robinopt should set ``OPENBLAS_NUM_THREADS=1`` itself.
+robinopt should set ``OPENBLAS_NUM_THREADS=1`` itself; when it has not,
+and OpenBLAS's fallbacks ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS`` do not
+give one thread either, importing robinopt warns (``RuntimeWarning``), since
+scipy's OpenBLAS then runs several threads.
 """
 
 import os
+import sys
+import warnings
 
 import numpy  # noqa: F401  (loads numpy's OpenBLAS with the caller's setting)
 
+
+
+def _fallback_threads():
+    """The thread count OpenBLAS reads when OPENBLAS_NUM_THREADS is unset.
+
+    OpenBLAS takes the first positive one of GOTO_NUM_THREADS and
+    OMP_NUM_THREADS; None when neither gives one (its default, all cores).
+    """
+    for name in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return None
+
+
 _THREADS_SET = "OPENBLAS_NUM_THREADS" in os.environ
 if not _THREADS_SET:
+    if "scipy.linalg" in sys.modules and _fallback_threads() != 1:
+        warnings.warn(
+            "scipy.linalg was loaded before robinopt with "
+            "OPENBLAS_NUM_THREADS unset and no GOTO_NUM_THREADS or "
+            "OMP_NUM_THREADS of 1, so scipy's OpenBLAS runs several "
+            "threads, and robinopt's band factorizations can stall (the "
+            "first one by hundreds of milliseconds); set "
+            "OPENBLAS_NUM_THREADS=1 before Python starts, or import robinopt "
+            "before scipy", RuntimeWarning, stacklevel=2)
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 try:
     import scipy.linalg  # noqa: F401

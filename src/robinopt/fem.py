@@ -18,24 +18,29 @@ once the model shows the heat outside the ground mode below e^-12 |Omega|,
 at 12 / E1 at the latest, and closes the tail with the ground mode, which
 misses at most e^-12 of |Omega| / (E1 - s).
 
-Every factorization goes through ``_factorize``: a LAPACK band Cholesky in
-the mesh's reverse Cuthill-McKee order, built once per ``Assembly``, and
-SuperLU with a symmetric minimum-degree ordering and diagonal pivots only
-for a band of more than 2**23 entries or a system that is not positive
-definite (an eigen shift above the least eigenvalue). ``robinopt`` loads
-scipy's OpenBLAS single-threaded unless the caller set
-``OPENBLAS_NUM_THREADS``, since a second thread stalls the band kernel. At
-most one factorization is live at a time. Other sums of matrices are
-applied, not built: K + B(sigma) as K v + d * v and K - s M as
-K v - s (M v).
+Every system factorized is k K + m M + diag(d), on all nodes or on the
+interior ones, and every factorization goes through ``_factorize``. It
+writes the system's band straight from the mesh's band scatter, which maps
+the entries of K and M into LAPACK band storage in the mesh's reverse
+Cuthill-McKee order and is built once per ``Assembly`` and node set, and
+factorizes it by LAPACK band Cholesky. No sparse sum is formed: only
+SuperLU, with a symmetric minimum-degree ordering and diagonal pivots, gets
+the system as a sparse matrix, for a band of more than 2**23 entries or a
+system that is not positive definite (an eigen shift above the least
+eigenvalue). ``robinopt`` loads scipy's OpenBLAS single-threaded unless the
+caller set ``OPENBLAS_NUM_THREADS``, since a second thread stalls the band
+kernel. At most one factorization is live at a time. Other sums of
+matrices are applied, not built: K + B(sigma) as K v + d * v and K - s M
+as K v - s (M v).
 
 All solves are deterministic. Assembled matrices, their interior blocks,
-resolvent solutions, the resolvent model (with E1), and heat curves are
-memoized on the mesh's ``Assembly``, which refers back to the mesh only
-weakly, so a dropped mesh is freed at once. Values are never mutated after
-construction, so sharing meshes across threads is safe.
+band scatters, resolvent solutions, the resolvent model (with E1), and
+heat curves are memoized on the mesh's ``Assembly``, which refers back to
+the mesh only weakly, so a dropped mesh is freed at once. Values are never
+mutated after construction, so sharing meshes across threads is safe.
 """
 
+import functools
 import math
 import numbers
 import warnings
@@ -204,9 +209,13 @@ class Assembly:
     K_II, M_II : their interior blocks (CSC), the Dirichlet systems
     boundary_node_weights : lumped boundary measure per boundary node
     order : reverse Cuthill-McKee order of all nodes, on M's pattern,
-        which contains K's; the band order of ``_factorize``
+        which contains K's
     interior_order : ``order`` restricted to the interior nodes, as
         positions in K_II
+    scatter, interior_scatter : band scatters (``_BandScatter``) of K and
+        M in ``order`` and of K_II and M_II in ``interior_order``, each
+        built on first use, like ``model``; ``_factorize`` writes the band
+        of every system on the mesh through one of them
 
     The mesh is held through a weak reference: the mesh owns its assembly,
     so a strong one back would keep a dropped mesh alive until a full
@@ -239,6 +248,14 @@ class Assembly:
     @property
     def mesh(self):
         return self._mesh()
+
+    @functools.cached_property
+    def scatter(self):
+        return _BandScatter(self.K, self.M, self.order)
+
+    @functools.cached_property
+    def interior_scatter(self):
+        return _BandScatter(self.K_II, self.M_II, self.interior_order)
 
     def boundary_diagonal(self, sigma):
         """Diagonal d of the boundary-mass matrix B(sigma), over all nodes.
@@ -306,6 +323,55 @@ def assemble(mesh):
 _BAND_BUDGET = 2**23
 
 
+class _BandScatter:
+    """Where the entries of K and M go in a band matrix of one order.
+
+    Every system the program factorizes is k K + m M + diag(d) on one mesh,
+    K and M both its full matrices or both their interior blocks, and M's
+    pattern contains K's. In ``order``, a reverse Cuthill-McKee order of
+    their nodes, the scatter keeps ``width``, the band's half-bandwidth b,
+    and, for each matrix, which of its stored entries lie in the permuted
+    lower triangle (``k_lower``, ``m_lower``; the matrices are exactly
+    symmetric, so the entries of one triangle stand for both) with their
+    flat positions in LAPACK's lower band storage (``k_pos``, ``m_pos``):
+    A[i, j] at band[i - j, j] of a (b + 1) x n array in Fortran order.
+    ``diagonal`` is the flat position of each node's diagonal entry. A band
+    of more than ``_BAND_BUDGET`` entries gets no positions (None):
+    ``_factorize`` hands its systems to SuperLU.
+    """
+
+    def __init__(self, K, M, order):
+        self.K, self.M, self.order = K, M, order
+        self.n = n = len(order)
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+        self.m_lower, self.m_pos, self.width = _band_positions(M, rank)
+        if (self.width + 1) * n > _BAND_BUDGET:
+            self.m_pos = self.k_lower = self.k_pos = self.diagonal = None
+            return
+        self.k_lower, self.k_pos, _ = _band_positions(K, rank, self.width)
+        self.diagonal = (self.width + 1) * rank
+
+
+def _band_positions(A, rank, width=None):
+    """Where the stored entries of a symmetric A go in lower band storage.
+
+    A is CSR or CSC, permuted to ``rank`` order. An entry whose major index
+    (the row of CSR, the column of CSC) does not precede its minor one
+    stands for A's lower triangle, and by symmetry these entries are all of
+    it. Returns their mask among ``A.data``, their flat positions in a band
+    of half-bandwidth ``width`` (A's own when None), and that width.
+    """
+    major = rank[np.repeat(np.arange(len(rank)), np.diff(A.indptr))]
+    minor = rank[A.indices]
+    diagonal = major - minor
+    lower = diagonal >= 0
+    if width is None:
+        width = int(diagonal.max(initial=0))
+    position = diagonal + (width + 1) * minor
+    return lower, position[lower].astype(np.int32), width
+
+
 class _BandCholesky:
     """Lower band Cholesky factor of A[order][:, order]; solves A x = b."""
 
@@ -320,56 +386,66 @@ class _BandCholesky:
         return x
 
 
-def _factorize(A, order):
-    """Factors of a symmetric system A, with a ``solve(rhs)`` method.
+def _factorize(scatter, k, m, d=None):
+    """Factors of A = k K + m M + diag(d), with a ``solve(rhs)`` method.
 
-    ``order`` is a reverse Cuthill-McKee order of A's nodes (``Assembly``'s
-    ``order`` or ``interior_order``), which narrows the band of P1 systems
-    to b = 20-130 on the benchmark's n = 1.2k-11k nodes. A permuted to that
-    order gets a LAPACK band Cholesky (``dpbtrf``), the envelope method for
-    sparse SPD systems (George and Liu, 1981), faster than SuperLU there.
-    Two cases go to SuperLU instead, with a symmetric minimum-degree order
-    (MMD on A' + A), diagonal pivots and its symmetric mode: a band of more
-    than ``_BAND_BUDGET`` entries, and a matrix that is not positive
-    definite, as the eigen path's K + B - shift M is for a shift above the
-    least eigenvalue. A band factor therefore also certifies that every
+    K and M are the matrices of ``scatter`` (an ``Assembly``'s ``scatter``
+    or ``interior_scatter``), d is 0 when None. The scatter's reverse
+    Cuthill-McKee order narrows the band of P1 systems to b = 20-130 on the
+    benchmark's n = 1.2k-11k nodes, and A is written straight into LAPACK
+    band storage in that order, in the steps k K, then d on the diagonal,
+    then m M, each rounded as the sparse sum (k K + diag(d)) + m M would
+    round it. A LAPACK band Cholesky (``dpbtrf``) factorizes it, the
+    envelope method for sparse SPD systems (George and Liu, 1981), faster
+    than SuperLU there. Two cases go to SuperLU instead, on that sum built
+    as a sparse matrix, with a symmetric minimum-degree order (MMD on
+    A' + A), diagonal pivots and its symmetric mode: a band of more than
+    ``_BAND_BUDGET`` entries, and a matrix that is not positive definite,
+    as the eigen path's K + B - shift M is for a shift above the least
+    eigenvalue. A band factor therefore also certifies that every
     eigenvalue of A is positive. The band kernel is fastest single-threaded;
     ``robinopt`` loads scipy's OpenBLAS with one thread unless the caller
     set ``OPENBLAS_NUM_THREADS``.
     """
-    A = A.tocoo()
-    n = A.shape[0]
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    rows, cols = rank[A.row], rank[A.col]
-    lower = rows >= cols
-    cols = cols[lower]
-    diagonal = rows[lower] - cols  # of the band, 0 the main one
-    width = int(diagonal.max(initial=0))
-    if (width + 1) * n <= _BAND_BUDGET:
-        # LAPACK's lower band storage: A[i, j] at band[i - j, j]
-        band = sparse.coo_matrix((A.data[lower], (diagonal, cols)),
-                                 shape=(width + 1, n)).toarray(order="F")
-        band, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    K, M = scatter.K, scatter.M
+    if scatter.m_pos is not None:
+        # the products come before the band: allocated after it, glibc
+        # grows the heap by a band on the optimality benchmark (peak RSS
+        # 98.3 against 96.7 MB)
+        kv = k * K.data[scatter.k_lower]
+        mv = m * M.data[scatter.m_lower]
+        band = np.zeros((scatter.width + 1) * scatter.n)
+        band[scatter.k_pos] = kv
+        if d is not None:
+            band[scatter.diagonal] += d
+        band[scatter.m_pos] += mv
+        band, info = dpbtrf(band.reshape(scatter.width + 1, -1, order="F"),
+                            lower=1, overwrite_ab=1)
         if info == 0:
-            return _BandCholesky(band, order)
-    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                options={"SymmetricMode": True})
+            return _BandCholesky(band, scatter.order)
+    A = k * K
+    if d is not None:
+        A = A + sparse.diags(d)
+    return splu((A + m * M).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0, options={"SymmetricMode": True})
 
 
-def _solve_spd(A, rhs, order):
-    """Direct sparse solve of an SPD system in ``order``, residual-checked.
+def _solve_spd(scatter, m, rhs):
+    """Direct solve of the SPD system (K + m M) x = b, residual-checked.
 
-    ``SolverError`` if the factorization fails or its solution misses the
-    gate ||A x - b|| <= 1e-10 (1 + ||b||). Next to a singular shift that
-    gate sits below the rounding floor of A x - b, and neither refinement
-    nor conjugate gradients get under it, so there is no fallback.
+    K and M are the matrices of ``scatter``. ``SolverError`` if the
+    factorization fails or its solution misses the gate
+    ||K x + m M x - b|| <= 1e-10 (1 + ||b||). Next to a singular shift
+    that gate sits below the rounding floor of the residual, and neither
+    refinement nor conjugate gradients get under it, so there is no
+    fallback.
     """
     rhs = np.asarray(rhs, dtype=float)
     gate = 1e-10 * (1.0 + np.linalg.norm(rhs))
     try:
-        x = _factorize(A, order).solve(rhs)
-        resid = float(np.linalg.norm(A @ x - rhs))
+        x = _factorize(scatter, 1.0, m).solve(rhs)
+        resid = float(np.linalg.norm(
+            scatter.K @ x + m * (scatter.M @ x) - rhs))
     except RuntimeError:  # an exactly singular factor
         resid = math.inf
     if not resid <= gate:
@@ -432,7 +508,7 @@ def solve_resolvent(mesh, s):
     u_int = model.galerkin(s)
     resid = np.linalg.norm(K @ u_int - s * (M @ u_int) - m1)
     if not resid <= _GALERKIN_GATE * np.linalg.norm(m1):
-        u_int = _solve_spd(K - s * M, m1, asm.interior_order)
+        u_int = _solve_spd(asm.interior_scatter, -s, m1)
     if u_int.min() <= 0.0:
         raise SolverError(
             f"resolvent solution lost positivity (min {u_int.min():g}); "
@@ -484,7 +560,7 @@ def resolvent_model(mesh):
     k = 0
     for p in poles:
         lu = None  # release the last pole's factors before the next
-        lu = _factorize(K - p * M, asm.interior_order)
+        lu = _factorize(asm.interior_scatter, 1.0, -p)
         rhs = m1
         for _ in range(_KRYLOV_DEPTH // len(poles)):
             w = lu.solve(rhs)
@@ -504,8 +580,8 @@ def resolvent_model(mesh):
     T = 0.5 * (T + T.T)
     ritz, Y = np.linalg.eigh(T)
     V = Q @ Y
-    e1 = _ground_pair(K, M, np.zeros(len(m1)), V[:, 0], 1e-8 * ritz[0], 0.0,
-                      0.0, asm.interior_order, lu)[0]
+    e1 = _ground_pair(asm.interior_scatter, np.zeros(len(m1)), V[:, 0],
+                      1e-8 * ritz[0], 0.0, 0.0, lu)[0]
     half = min(k, _KRYLOV_DEPTH // 2)
     nested_ritz, Y = np.linalg.eigh(T[:half, :half])
     asm.model = ResolventModel(ritz, V, V.T @ m1, e1, nested_ritz,
@@ -572,19 +648,21 @@ def robin_principal_eigenvalue(mesh, sigma, v0=None):
             v, shift = v0, None
     # lambda >= 4 min(d / m, 0), m the lumped masses: K >= 0, M >= diag(m) / 4
     floor = 4.0 * min(0.0, float((d / asm.mass_times_one).min()))
-    lam, v, resid, its = _ground_pair(asm.K, asm.M, d, v, _EIGEN_TOL, shift,
-                                      floor, asm.order)
+    lam, v, resid, its = _ground_pair(asm.scatter, d, v, _EIGEN_TOL, shift,
+                                      floor)
     v = v if v @ asm.mass_times_one > 0 else -v
     return SpectralResult(lam, FieldSolution(mesh, v, TAG_EIGENFUNCTION),
                           resid, its)
 
 
-def _ground_pair(K, M, d, v, tol, shift, floor, order, lu=None):
+def _ground_pair(scatter, d, v, tol, shift, floor, lu=None):
     """Lowest eigenpair of (K + diag(d), M) by block-one LOBPCG from ``v``.
 
-    Rayleigh-Ritz on the M-normalized iterate x, the preconditioned residual
-    T r and the last step (Knyazev, SIAM J. Sci. Comput. 23(2), 2001), with
-    T = (A - shift M)^-1 factorized once in ``order``, or the given ``lu``.
+    K and M are the matrices of ``scatter``. Rayleigh-Ritz on the
+    M-normalized iterate x, the preconditioned residual T r and the last
+    step (Knyazev, SIAM J. Sci. Comput. 23(2), 2001), with
+    T = (A - shift M)^-1 factorized once by ``_factorize``, or the given
+    ``lu``.
     A start that meets ``tol`` is returned after 0 steps, with nothing
     built. A ``shift`` of None or above rho is reset to
     rho - 0.05 (1 + |rho|); after 15 steps at one shift it moves up to
@@ -595,6 +673,7 @@ def _ground_pair(K, M, d, v, tol, shift, floor, order, lu=None):
     ``floor``. Returns (rho, x, residual, steps); ``SolverError`` after 200
     steps.
     """
+    K, M = scatter.K, scatter.M
     n = len(v)
     S, AS, MS = (np.empty((n, 3), order="F") for _ in range(3))
     S[:, 0] = v
@@ -631,7 +710,7 @@ def _ground_pair(K, M, d, v, tol, shift, floor, order, lu=None):
                 shift, lu, held = near, None, 0
         if lu is None:
             try:
-                lu = _factorize(K + sparse.diags(d) - shift * M, order)
+                lu = _factorize(scatter, 1.0, -shift, d)
             except RuntimeError as exc:
                 raise SolverError(
                     f"factorization failed at shift {shift:g}: {exc}")
@@ -751,8 +830,8 @@ def _heat_curve(mesh, horizon, steps_per_decade=_STEPS_PER_DECADE,
         bdf2 = back is not None
         if (bdf2, step) != system:
             lu = None  # release the last system's factors before the next
-            lu = _factorize((1.5 if bdf2 else 1.0) * M + (step * dt0) * K,
-                            asm.interior_order)
+            lu = _factorize(asm.interior_scatter, step * dt0,
+                            1.5 if bdf2 else 1.0)
             system = (bdf2, step)
         v = lu.solve(2.0 * Mv - 0.5 * back if bdf2 else Mv)
         ticks.append(k + step)

@@ -484,3 +484,33 @@ def test_import_leaves_the_callers_openblas_setting(threads):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == str(threads)
+
+
+def test_import_warns_when_scipy_linalg_came_first():
+    # scipy.linalg loaded first with no thread count of 1 for OpenBLAS
+    # (OPENBLAS_NUM_THREADS, else its fallback OMP_NUM_THREADS) leaves
+    # scipy's OpenBLAS multi-threaded: importing robinopt then warns on
+    # stderr, and only then; the CLI's stdout is the same in every case
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(robinopt.__file__)))
+    names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    for name in names:
+        env.pop(name, None)
+    outs = set()
+    for first in ("scipy.linalg", "robinopt"):
+        code = (f"import {first}, robinopt.cli, scipy.linalg\n"
+                "robinopt.cli.main(['optimize', '--domain', 'disk:1', "
+                "'--mu', '-4', '--h', '0.2'])\n")
+        for setting, multi in (({}, True),
+                               ({"OPENBLAS_NUM_THREADS": "1"}, False),
+                               ({"OMP_NUM_THREADS": "1"}, False),
+                               ({"OMP_NUM_THREADS": "2"}, True)):
+            proc = subprocess.run([sys.executable, "-c", code],
+                                  env=dict(env, **setting), check=True,
+                                  capture_output=True, text=True)
+            warned = first == "scipy.linalg" and multi
+            assert ("RuntimeWarning" in proc.stderr) == warned, setting
+            if warned:
+                assert "OPENBLAS_NUM_THREADS=1" in proc.stderr
+            outs.add(proc.stdout)
+    assert len(outs) == 1 and "lambda_mu" in outs.pop()

@@ -392,7 +392,7 @@ def test_solve_spd_refuses_unchecked_cg_answer(disk_mesh_mid):
     s = estimate_dirichlet_e1(disk_mesh_mid) * (1 - 1e-6)
     rhs = asm.mass_times_one[asm.interior]
     with pytest.raises(SolverError, match="residual gate") as err:
-        fem._solve_spd(asm.K_II - s * asm.M_II, rhs, asm.interior_order)
+        fem._solve_spd(asm.interior_scatter, -s, rhs)
     assert err.value.residual > 1e-10 * (1 + np.linalg.norm(rhs))
 
 
@@ -407,6 +407,46 @@ def _bandwidth(A, order):
     return int(np.abs(rank[A.row] - rank[A.col]).max())
 
 
+def _coo_band(A, order):
+    """LAPACK lower band storage of A in ``order``, through A's COO entries.
+
+    The band the scatter must reproduce bit for bit: A is the sparse sum
+    the factorized system stood for, built as scipy builds it.
+    """
+    A = A.tocoo()
+    n = A.shape[0]
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    rows, cols = rank[A.row], rank[A.col]
+    lower = rows >= cols
+    cols = cols[lower]
+    diagonal = rows[lower] - cols
+    return scipy.sparse.coo_matrix(
+        (A.data[lower], (diagonal, cols)),
+        shape=(int(diagonal.max(initial=0)) + 1, n)).toarray(order="F")
+
+
+def _systems(mesh, sigma):
+    """Each kind of system the program factorizes on ``mesh``.
+
+    (scatter, k, m, d, A): ``_factorize``'s arguments and the sparse sum
+    of the same terms: a Robin eigen shift below lambda_1 on all nodes; on
+    the interior the model's poles 0 and -s_cap, a direct solve at 0.9 E1,
+    and a BDF2 and an implicit-Euler heat rung.
+    """
+    asm = assemble(mesh)
+    d = asm.boundary_diagonal(sigma)
+    shift = robin_principal_eigenvalue(mesh, sigma).eigenvalue - 1.0
+    systems = [(asm.scatter, 1.0, -shift, d,
+                asm.K + scipy.sparse.diags(d) - shift * asm.M)]
+    K, M, inner = asm.K_II, asm.M_II, asm.interior_scatter
+    for s in (0.0, -fem._s_cap(mesh), 0.9 * estimate_dirichlet_e1(mesh)):
+        systems.append((inner, 1.0, -s, None, K - s * M))
+    for c in (1.5, 1.0):
+        systems.append((inner, 1e-3, c, None, c * M + 1e-3 * K))
+    return systems
+
+
 @pytest.mark.parametrize("name",
                          ["disk", "annulus", "rect", "ngon", "lshape"])
 def test_band_cholesky_matches_superlu(catalogue, name):
@@ -415,18 +455,13 @@ def test_band_cholesky_matches_superlu(catalogue, name):
     # poles 0 and -s_cap, a direct solve near E1) and a heat rung inside
     mesh = generate_mesh(catalogue[name], 0.05)
     asm = assemble(mesh)
-    sigma = BoundaryFunction.constant(mesh, -2.0)
-    lam = robin_principal_eigenvalue(mesh, sigma).eigenvalue
-    K, M, m1 = asm.K_II, asm.M_II, asm.mass_times_one[asm.interior]
-    robin = (asm.K + scipy.sparse.diags(asm.boundary_diagonal(sigma))
-             - (lam - 1.0) * asm.M)
-    systems = [(robin, asm.order, asm.mass_times_one)]
-    for s in (0.0, -37.5, -fem._s_cap(mesh),
-              0.9 * estimate_dirichlet_e1(mesh)):
-        systems.append((K - s * M, asm.interior_order, m1))
-    systems.append((1.5 * M + 1e-3 * K, asm.interior_order, m1))
-    for A, order, b in systems:
-        lu = fem._factorize(A, order)
+    m1 = asm.mass_times_one[asm.interior]
+    systems = _systems(mesh, BoundaryFunction.constant(mesh, -2.0))
+    systems.append((asm.interior_scatter, 1.0, 37.5, None,
+                    asm.K_II + 37.5 * asm.M_II))
+    for scatter, k, m, d, A in systems:
+        b = asm.mass_times_one if d is not None else m1
+        lu = fem._factorize(scatter, k, m, d)
         assert isinstance(lu, fem._BandCholesky)
         x, ref = lu.solve(b), _superlu(A).solve(b)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -434,8 +469,31 @@ def test_band_cholesky_matches_superlu(catalogue, name):
     # the interior order is the full one restricted: no wider a band
     assert sorted(asm.order) == list(range(len(mesh.nodes)))
     assert sorted(asm.interior_order) == list(range(len(asm.interior)))
-    assert (_bandwidth(K, asm.interior_order)
-            <= _bandwidth(asm.M, asm.order))
+    assert asm.interior_scatter.width <= asm.scatter.width
+    assert asm.scatter.width == _bandwidth(asm.M, asm.order)
+
+
+@pytest.mark.parametrize("name",
+                         ["disk", "annulus", "rect", "ngon", "lshape"])
+def test_band_scatter_matches_coo_band(monkeypatch, catalogue, name):
+    # the band handed to dpbtrf is, bit for bit, the one the sparse sum's
+    # COO entries give, for each kind of system
+    mesh = generate_mesh(catalogue[name], 0.05)
+    systems = _systems(mesh, BoundaryFunction.constant(mesh, -2.0))
+    bands = []
+    dpbtrf = fem.dpbtrf
+
+    def recording_dpbtrf(band, **kwargs):
+        bands.append(band.copy(order="F"))
+        return dpbtrf(band, **kwargs)
+
+    monkeypatch.setattr(fem, "dpbtrf", recording_dpbtrf)
+    for scatter, k, m, d, A in systems:
+        fem._factorize(scatter, k, m, d)
+        expected = _coo_band(A, scatter.order)
+        assert bands[-1].shape == expected.shape
+        assert bands[-1].tobytes() == expected.tobytes()
+    assert len(bands) == len(systems)
 
 
 def test_factorize_takes_superlu_above_least_eigenvalue(disk_mesh_coarse):
@@ -444,9 +502,9 @@ def test_factorize_takes_superlu_above_least_eigenvalue(disk_mesh_coarse):
     asm = assemble(mesh)
     sigma = BoundaryFunction.constant(mesh, -2.0)
     lam = robin_principal_eigenvalue(mesh, sigma).eigenvalue
-    A = (asm.K + scipy.sparse.diags(asm.boundary_diagonal(sigma))
-         - (lam + 1.0) * asm.M)
-    lu = fem._factorize(A, asm.order)
+    d = asm.boundary_diagonal(sigma)
+    A = asm.K + scipy.sparse.diags(d) - (lam + 1.0) * asm.M
+    lu = fem._factorize(asm.scatter, 1.0, -(lam + 1.0), d)
     assert not isinstance(lu, fem._BandCholesky)
     b = asm.mass_times_one
     assert np.linalg.norm(A @ lu.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
@@ -454,17 +512,45 @@ def test_factorize_takes_superlu_above_least_eigenvalue(disk_mesh_coarse):
 
 def test_factorize_takes_superlu_past_band_budget(monkeypatch,
                                                   disk_mesh_coarse):
+    # the budget is tested once, when a scatter is built
     asm = assemble(disk_mesh_coarse)
-    A = asm.K_II - 2.0 * asm.M_II
     b = asm.mass_times_one[asm.interior]
-    band = fem._factorize(A, asm.interior_order)
+    band = fem._factorize(asm.interior_scatter, 1.0, -2.0)
     assert isinstance(band, fem._BandCholesky)
-    width = _bandwidth(A, asm.interior_order)
+    width = asm.interior_scatter.width
     monkeypatch.setattr(fem, "_BAND_BUDGET", width * len(b))
-    lu = fem._factorize(A, asm.interior_order)
+    scatter = fem._BandScatter(asm.K_II, asm.M_II, asm.interior_order)
+    assert scatter.k_pos is None and scatter.m_pos is None
+    lu = fem._factorize(scatter, 1.0, -2.0)
     assert not isinstance(lu, fem._BandCholesky)
     x = lu.solve(b)
     assert np.linalg.norm(x - band.solve(b)) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_factor_path_builds_no_sparse_matrix(monkeypatch):
+    # after assembly every band is written through the mesh's scatters:
+    # the resolvent model, a warm eigen solve and the Laplace check's heat
+    # ladder make their usual factorizations with scipy.sparse out of reach
+    mesh = generate_mesh(Domain.disk(1.0), 0.1)
+    assemble(mesh)
+
+    class NoSparse:
+        def __getattr__(self, name):
+            raise AssertionError(f"scipy.sparse.{name} used after assembly")
+
+    monkeypatch.setattr(fem, "sparse", NoSparse())
+    lus, _ = _count_lus(monkeypatch)
+    res = optimize(mesh, -8.0)
+    assert len(lus) == 1  # the model's pole 0
+    sigma = res.sigma_mu.values
+    eta = np.cos(3.0 * np.arange(len(sigma)))
+    out = robin_principal_eigenvalue(
+        mesh, BoundaryFunction(mesh, sigma + 0.5 * eta), v0=res.u_mu.values)
+    assert out.residual_norm <= 1e-8 and out.eigenvalue < res.s_mu
+    assert len(lus) == 2
+    check = laplace_transform_check(mesh, -1.0)
+    assert check["rhs"] == pytest.approx(check["lhs"], rel=1e-3)
+    assert len(lus) == 8
 
 
 def test_tracer_names_stay_bound():
@@ -530,9 +616,9 @@ def _count_lus(monkeypatch):
             solves.append(1)
             return self._lu.solve(rhs)
 
-    def counting_factorize(A, *args, **kwargs):
-        lus.append(A.shape)
-        return CountingLU(original(A, *args, **kwargs))
+    def counting_factorize(scatter, *args, **kwargs):
+        lus.append(scatter.n)
+        return CountingLU(original(scatter, *args, **kwargs))
 
     monkeypatch.setattr(fem, "_factorize", counting_factorize)
     return lus, solves
@@ -679,9 +765,9 @@ def test_heat_curve_dyadic_ladder(monkeypatch, horizon, steps, t_small):
     lus = []
     original = fem._factorize
 
-    def counting_factorize(A, *args, **kwargs):
-        lus.append(A.shape)
-        return original(A, *args, **kwargs)
+    def counting_factorize(scatter, *args, **kwargs):
+        lus.append(scatter.n)
+        return original(scatter, *args, **kwargs)
 
     monkeypatch.setattr(fem, "_factorize", counting_factorize)
     mesh = generate_mesh(Domain.disk(1.0), 0.1)

@@ -161,7 +161,7 @@ def _direct_resolvent(mesh, s):
     """Nodal values of U_s by a direct factorization made here."""
     asm = assemble(mesh)
     u = np.zeros(len(mesh.nodes))
-    lu = fem._factorize(asm.K_II - s * asm.M_II, asm.interior_order)
+    lu = fem._factorize(asm.interior_scatter, 1.0, -s)
     u[asm.interior] = lu.solve(asm.mass_times_one[asm.interior])
     return u
 
