@@ -30,7 +30,6 @@ import warnings
 import numpy  # noqa: F401  (loads numpy's OpenBLAS with the caller's setting)
 
 
-
 def _fallback_threads():
     """The thread count OpenBLAS reads when OPENBLAS_NUM_THREADS is unset.
 
