@@ -10,17 +10,19 @@ pair. ``PAIRS`` fixes the number of pairs per workload. After the pairs,
 one traced run on seed 1 per side gives the per-layer counts. Both sides use
 the benchmark files of their own checkout.
 
-The LAPACK probe runs each side once more on seed 1, in a fresh interpreter:
-it builds the workload, runs one round to warm up, then wraps
-``robinopt.fem.dpbtrf``, ``dpbtrs`` and ``splu`` by name and runs one more
-round. It records, for that round, the calls and seconds of each, and how
-many ``dpbtrf`` calls failed (info != 0, a system that is not positive
-definite).
+The probe runs each side once more on seed 1, in a fresh interpreter: it
+builds the workload, runs one round to warm up, then wraps
+``robinopt.fem.dpbtrf``, ``dpbtrs`` and ``splu`` by name and the
+constructors of ``geometry.Mesh``, ``fem.Assembly`` and ``fem._BandScatter``
+in their classes, and runs one more round. It records, for that round, the
+calls and seconds of each, and how many ``dpbtrf`` calls failed (info != 0,
+a system that is not positive definite).
 
 The JSON written to ``--out`` holds the host, both commits, every run, each
 side's median and quartiles per end-to-end metric, how many pairs the tree
 won (lower is better; ties count for neither side), the traced metrics and
-the LAPACK probe (``lapack_seed1``).
+the probe: LAPACK and SuperLU calls (``lapack_seed1``) and the set-up of
+meshes, assemblies and band scatters (``setup_seed1``).
 The host record names the numpy and scipy versions and the OpenBLAS and
 OpenMP thread variables as this interpreter sees them (null when unset):
 factorization speed depends on them.
@@ -88,14 +90,13 @@ import robinopt as rb
 import workloads
 
 name = sys.argv[1]
-counts = {}
+lapack, setup = {}, {}
 
 
-def wrap(fn, key):
+def wrap(fn, entry, key=None):
     def wrapped(*args, **kwargs):
         t0 = time.perf_counter()
         out = fn(*args, **kwargs)
-        entry = counts[key]
         entry["s"] += time.perf_counter() - t0
         entry["calls"] += 1
         if key == "dpbtrf" and out[1] != 0:
@@ -109,17 +110,22 @@ with tempfile.TemporaryDirectory() as tmp:
     for _, fn in work.ops:
         fn()
     for key in ("dpbtrf", "dpbtrs", "splu"):
-        counts[key] = {"calls": 0, "s": 0.0}
-        setattr(rb.fem, key, wrap(getattr(rb.fem, key), key))
-    counts["dpbtrf"]["failed"] = 0
+        lapack[key] = {"calls": 0, "s": 0.0}
+        setattr(rb.fem, key, wrap(getattr(rb.fem, key), lapack[key], key))
+    lapack["dpbtrf"]["failed"] = 0
+    for module, cls in (("geometry", rb.geometry.Mesh),
+                        ("fem", rb.fem.Assembly),
+                        ("fem", rb.fem._BandScatter)):
+        entry = setup[f"{module}.{cls.__name__}"] = {"calls": 0, "s": 0.0}
+        cls.__init__ = wrap(cls.__init__, entry)
     for _, fn in work.ops:
         fn()
-print(json.dumps(counts))
+print(json.dumps({"lapack": lapack, "setup": setup}))
 """
 
 
 def _probe(checkout, workload):
-    """LAPACK and SuperLU calls of one warm round on seed 1."""
+    """LAPACK, SuperLU and set-up calls of one warm round on seed 1."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         str(Path(checkout) / d) for d in ("src", "perfbench")))
     env.pop("ROBINOPT_JOBS", None)
@@ -213,12 +219,16 @@ def main():
                       file=sys.stderr)
             traced = {side: _run(sides[side], workload, 1, seconds, trace=True)
                       for side in ("parent", "change")}
+            probes = {side: _probe(sides[side], workload)
+                      for side in ("parent", "change")}
             report["workloads"][workload] = {
                 "pairs": pairs,
                 "summary": _summary(pairs, metrics),
                 "traced_seed1": traced,
-                "lapack_seed1": {side: _probe(sides[side], workload)
-                                 for side in ("parent", "change")},
+                "lapack_seed1": {side: probe.get("lapack", probe)
+                                 for side, probe in probes.items()},
+                "setup_seed1": {side: probe.get("setup", probe)
+                                for side, probe in probes.items()},
             }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     return 0
