@@ -379,10 +379,13 @@ def build_parser():
     return parser
 
 
+# built once: every main call parses with it, and parsing leaves it as it was
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

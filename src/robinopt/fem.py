@@ -18,20 +18,21 @@ once the model shows the heat outside the ground mode below e^-12 |Omega|,
 at 12 / E1 at the latest, and closes the tail with the ground mode, which
 misses at most e^-12 of |Omega| / (E1 - s).
 
-Every system factorized is k K + m M + diag(d), on all nodes or on the
-interior ones, and every factorization goes through ``_factorize``. It
-writes the system's band straight from the mesh's band scatter, which maps
-the entries of K and M into LAPACK band storage in the mesh's reverse
-Cuthill-McKee order and is built once per ``Assembly`` and node set, and
-factorizes it by LAPACK band Cholesky. No sparse sum is formed: only
-SuperLU, with a symmetric minimum-degree ordering and diagonal pivots, gets
-the system as a sparse matrix, for a band of more than 2**23 entries or a
-system that is not positive definite (an eigen shift above the least
-eigenvalue). ``robinopt`` loads scipy's OpenBLAS single-threaded unless the
-caller set ``OPENBLAS_NUM_THREADS``, since a second thread stalls the band
-kernel. At most one factorization is live at a time. Other sums of
-matrices are applied, not built: K + B(sigma) as K v + d * v and K - s M
-as K v - s (M v).
+K and M share one CSR pattern (K keeps its exact zeros), and so do their
+interior blocks. Every system factorized is k K + m M + diag(d), on all
+nodes or on the interior ones, and every factorization goes through
+``_factorize``. It writes the system's band straight from the mesh's band
+scatter, which maps the entries of the shared pattern into LAPACK band
+storage in the mesh's reverse Cuthill-McKee order and is built once per
+``Assembly`` and node set, and factorizes it by LAPACK band Cholesky. No
+sparse sum is formed: only SuperLU, with a symmetric minimum-degree
+ordering and diagonal pivots, gets the system as a sparse matrix, for a
+band of more than 2**23 entries or a system that is not positive definite
+(an eigen shift above the least eigenvalue). ``robinopt`` loads scipy's
+OpenBLAS single-threaded unless the caller set ``OPENBLAS_NUM_THREADS``,
+since a second thread stalls the band kernel. At most one factorization is
+live at a time. Other sums of matrices are applied, not built: K + B(sigma)
+as K v + d * v and K - s M as K v - s (M v).
 
 All solves are deterministic. Assembled matrices, their interior blocks,
 band scatters, resolvent solutions, the resolvent model (with E1), and
@@ -205,11 +206,11 @@ class Assembly:
     Attributes
     ----------
     K : stiffness, symmetric positive semidefinite, kernel = constants
-    M : consistent mass, symmetric positive definite
-    K_II, M_II : their interior blocks (CSC), the Dirichlet systems
+    M : consistent mass, symmetric positive definite; CSR on K's pattern
+    K_II, M_II : their interior blocks (CSR, one pattern), the Dirichlet
+        systems
     boundary_node_weights : lumped boundary measure per boundary node
-    order : reverse Cuthill-McKee order of all nodes, on M's pattern,
-        which contains K's
+    order : reverse Cuthill-McKee order of all nodes, on the shared pattern
     interior_order : ``order`` restricted to the interior nodes, as
         positions in K_II
     scatter, interior_scatter : band scatters (``_BandScatter``) of K and
@@ -232,8 +233,7 @@ class Assembly:
         self.interior = np.where(mask)[0]
         self.boundary = mesh.boundary_nodes
         idx = self.interior
-        self.K_II = self.K[idx][:, idx].tocsc()
-        self.M_II = self.M[idx][:, idx].tocsc()
+        self.K_II, self.M_II = _blocks(self.K, self.M, mask)
         self.mass_times_one = np.asarray(self.M @ np.ones(n))
         self.order = reverse_cuthill_mckee(self.M, symmetric_mode=True)
         position = np.full(n, -1)
@@ -272,37 +272,45 @@ class Assembly:
 
 
 def _assemble_km(mesh):
-    p = mesh.nodes
-    t = mesh.triangles
-    v0, v1, v2 = p[t[:, 0]], p[t[:, 1]], p[t[:, 2]]
-    # edge vectors opposite each local node
-    e0 = v2 - v1
-    e1 = v0 - v2
-    e2 = v1 - v0
-    area = 0.5 * (e2[:, 0] * (-e1[:, 1]) - e2[:, 1] * (-e1[:, 0]))
-    bad = np.where(area <= 0)[0]
-    if bad.size:
-        raise GeometryError(
-            f"degenerate triangle {int(bad[0])} in assembly (area "
-            f"{area[bad[0]]:g})"
-        )
-    edges = (e0, e1, e2)
-    rows, cols, kvals, mvals = [], [], [], []
-    for i in range(3):
-        for j in range(3):
-            rows.append(t[:, i])
-            cols.append(t[:, j])
-            kvals.append(np.sum(edges[i] * edges[j], axis=1) / (4.0 * area))
-            mvals.append(area / (6.0 if i == j else 12.0))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
+    """K and M in CSR on one pattern: K stores the zeros its terms cancel to.
+
+    The stably sorted keys row n + col of the local entries give the pattern,
+    and each entry sums its local ones in their order. An edge has at most
+    two triangles, and a sum of two terms does not depend on their order, so
+    both matrices are exactly symmetric.
+    """
+    p, t = mesh.nodes, np.ascontiguousarray(mesh.triangles.T)
     n = len(p)
-    K = sparse.csr_matrix((np.concatenate(kvals), (rows, cols)), shape=(n, n))
-    M = sparse.csr_matrix((np.concatenate(mvals), (rows, cols)), shape=(n, n))
-    # both are exactly symmetric as summed: an edge has at most two
-    # triangles, and a sum of two terms does not depend on their order
-    K.eliminate_zeros()
-    return K, M
+    area = mesh.triangle_areas()
+    x, y = p[:, 0][t], p[:, 1][t]
+    # edge vectors opposite each local node
+    ex, ey = x[[2, 0, 1]] - x[[1, 2, 0]], y[[2, 0, 1]] - y[[1, 2, 0]]
+    kvals = (ex[:, None] * ex + ey[:, None] * ey) / (4.0 * area)
+    mvals = area / np.where(np.eye(3, dtype=bool), 6.0, 12.0)[:, :, None]
+    keys = (t[:, None] * n + t).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.concatenate(([True], keys[1:] != keys[:-1]))
+    slot = np.cumsum(new, dtype=np.int32) - 1
+    keys = keys[new]
+    pattern = ((keys % n).astype(np.int32),
+               np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32))
+    return tuple(sparse.csr_matrix((np.bincount(slot, vals.ravel()[order]),
+                                    *pattern), shape=(n, n))
+                 for vals in (kvals, mvals))
+
+
+def _blocks(K, M, keep):
+    """CSR blocks of K and M, which share a pattern, on the nodes ``keep``
+    marks; the two blocks share one pattern too."""
+    entries = np.repeat(keep, np.diff(K.indptr)) & keep[K.indices]
+    kept = np.concatenate(([0], np.cumsum(entries)))
+    rows = np.append(np.flatnonzero(keep), len(keep))
+    pattern = ((np.cumsum(keep) - 1)[K.indices[entries]].astype(np.int32),
+               kept[K.indptr[rows]].astype(np.int32))
+    n = len(rows) - 1
+    return tuple(sparse.csr_matrix((A.data[entries], *pattern), shape=(n, n))
+                 for A in (K, M))
 
 
 def assemble(mesh):
@@ -327,16 +335,16 @@ class _BandScatter:
     """Where the entries of K and M go in a band matrix of one order.
 
     Every system the program factorizes is k K + m M + diag(d) on one mesh,
-    K and M both its full matrices or both their interior blocks, and M's
-    pattern contains K's. In ``order``, a reverse Cuthill-McKee order of
-    their nodes, the scatter keeps ``width``, the band's half-bandwidth b,
-    and, for each matrix, which of its stored entries lie in the permuted
-    lower triangle (``k_lower``, ``m_lower``; the matrices are exactly
-    symmetric, so the entries of one triangle stand for both) with their
-    flat positions in LAPACK's lower band storage (``k_pos``, ``m_pos``):
-    A[i, j] at band[i - j, j] of a (b + 1) x n array in Fortran order.
-    ``diagonal`` is the flat position of each node's diagonal entry. A band
-    of more than ``_BAND_BUDGET`` entries gets no positions (None):
+    K and M both its full matrices or both their interior blocks, on one
+    shared CSR pattern. In ``order``, a reverse Cuthill-McKee order of their
+    nodes, the scatter keeps ``width``, the band's half-bandwidth b, which
+    stored entries of the pattern lie in the permuted lower triangle
+    (``lower``; the matrices are exactly symmetric, so the entries of one
+    triangle stand for both), and their flat positions in LAPACK's lower
+    band storage (``pos``): A[i, j] at band[i - j, j] of a (b + 1) x n array
+    in Fortran order. Both matrices use the one mask and the one position
+    array. ``diagonal`` is the flat position of each node's diagonal entry.
+    A band of more than ``_BAND_BUDGET`` entries gets no positions (None):
     ``_factorize`` hands its systems to SuperLU.
     """
 
@@ -345,29 +353,26 @@ class _BandScatter:
         self.n = n = len(order)
         rank = np.empty(n, dtype=np.intp)
         rank[order] = np.arange(n)
-        self.m_lower, self.m_pos, self.width = _band_positions(M, rank)
+        self.lower, self.pos, self.width = _band_positions(M, rank)
         if (self.width + 1) * n > _BAND_BUDGET:
-            self.m_pos = self.k_lower = self.k_pos = self.diagonal = None
+            self.pos = self.diagonal = None
             return
-        self.k_lower, self.k_pos, _ = _band_positions(K, rank, self.width)
         self.diagonal = (self.width + 1) * rank
 
 
-def _band_positions(A, rank, width=None):
-    """Where the stored entries of a symmetric A go in lower band storage.
+def _band_positions(A, rank):
+    """Where the stored entries of a symmetric CSR A go in lower band storage.
 
-    A is CSR or CSC, permuted to ``rank`` order. An entry whose major index
-    (the row of CSR, the column of CSC) does not precede its minor one
-    stands for A's lower triangle, and by symmetry these entries are all of
-    it. Returns their mask among ``A.data``, their flat positions in a band
-    of half-bandwidth ``width`` (A's own when None), and that width.
+    A is permuted to ``rank`` order. An entry whose row does not precede
+    its column stands for A's lower triangle, and by symmetry these entries
+    are all of it. Returns their mask among ``A.data``, their flat positions
+    in a band of A's half-bandwidth, and that width.
     """
     major = rank[np.repeat(np.arange(len(rank)), np.diff(A.indptr))]
     minor = rank[A.indices]
     diagonal = major - minor
     lower = diagonal >= 0
-    if width is None:
-        width = int(diagonal.max(initial=0))
+    width = int(diagonal.max(initial=0))
     position = diagonal + (width + 1) * minor
     return lower, position[lower].astype(np.int32), width
 
@@ -389,36 +394,37 @@ class _BandCholesky:
 def _factorize(scatter, k, m, d=None):
     """Factors of A = k K + m M + diag(d), with a ``solve(rhs)`` method.
 
-    K and M are the matrices of ``scatter`` (an ``Assembly``'s ``scatter``
-    or ``interior_scatter``), d is 0 when None. The scatter's reverse
+    K and M are the matrices of ``scatter`` (an ``Assembly``'s ``scatter`` or
+    ``interior_scatter``), d is 0 when None. The scatter's reverse
     Cuthill-McKee order narrows the band of P1 systems to b = 20-130 on the
     benchmark's n = 1.2k-11k nodes, and A is written straight into LAPACK
-    band storage in that order, in the steps k K, then d on the diagonal,
-    then m M, each rounded as the sparse sum (k K + diag(d)) + m M would
-    round it. A LAPACK band Cholesky (``dpbtrf``) factorizes it, the
-    envelope method for sparse SPD systems (George and Liu, 1981), faster
-    than SuperLU there. Two cases go to SuperLU instead, on that sum built
-    as a sparse matrix, with a symmetric minimum-degree order (MMD on
-    A' + A), diagonal pivots and its symmetric mode: a band of more than
-    ``_BAND_BUDGET`` entries, and a matrix that is not positive definite,
-    as the eigen path's K + B - shift M is for a shift above the least
-    eigenvalue. A band factor therefore also certifies that every
-    eigenvalue of A is positive. The band kernel is fastest single-threaded;
-    ``robinopt`` loads scipy's OpenBLAS with one thread unless the caller
-    set ``OPENBLAS_NUM_THREADS``.
+    band storage in that order, at the scatter's positions of their shared
+    pattern, in the steps k K, then d on the diagonal, then m M, each
+    rounded as the sparse sum (k K + diag(d)) + m M would round it. A
+    LAPACK band Cholesky (``dpbtrf``) factorizes it, the envelope method
+    for sparse SPD systems (George and Liu, 1981), faster than SuperLU
+    there. Two cases go to SuperLU instead, on that sum built as a sparse
+    matrix, with a symmetric minimum-degree order (MMD on A' + A), diagonal
+    pivots and its symmetric mode: a band of more than ``_BAND_BUDGET``
+    entries, and a matrix that is not positive definite, as the eigen
+    path's K + B - shift M is for a shift above the least eigenvalue. A
+    band factor therefore also certifies that every eigenvalue of A is
+    positive. The band kernel is fastest single-threaded; ``robinopt``
+    loads scipy's OpenBLAS with one thread unless the caller set
+    ``OPENBLAS_NUM_THREADS``.
     """
     K, M = scatter.K, scatter.M
-    if scatter.m_pos is not None:
+    if scatter.pos is not None:
         # the products come before the band: allocated after it, glibc
         # grows the heap by a band on the optimality benchmark (peak RSS
         # 98.3 against 96.7 MB)
-        kv = k * K.data[scatter.k_lower]
-        mv = m * M.data[scatter.m_lower]
+        kv = k * K.data[scatter.lower]
+        mv = m * M.data[scatter.lower]
         band = np.zeros((scatter.width + 1) * scatter.n)
-        band[scatter.k_pos] = kv
+        band[scatter.pos] = kv
         if d is not None:
             band[scatter.diagonal] += d
-        band[scatter.m_pos] += mv
+        band[scatter.pos] += mv
         band, info = dpbtrf(band.reshape(scatter.width + 1, -1, order="F"),
                             lower=1, overwrite_ab=1)
         if info == 0:

@@ -159,14 +159,13 @@ class Mesh:
 
     def __init__(self, nodes, triangles, h_interior, *,
                  boundary_layer_width=0.0):
-        self.nodes = np.ascontiguousarray(nodes, dtype=float)
-        self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
+        self.nodes, self.triangles = _checked_arrays(nodes, triangles)
         self.h_interior = float(h_interior)
         self.boundary_layer_width = float(boundary_layer_width)
-        if self.nodes.ndim != 2 or self.nodes.shape[1] != 2:
-            raise GeometryError("nodes must be an (N, 2) array")
-        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
-            raise GeometryError("triangles must be a (T, 3) array")
+        p, t = self.nodes, self.triangles
+        d1 = p[t[:, 1]] - p[t[:, 0]]
+        d2 = p[t[:, 2]] - p[t[:, 0]]
+        self._areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
         self.boundary_edges, self.boundary_weights, edge_tris = (
             self._extract_boundary())
         self.boundary_nodes = np.unique(self.boundary_edges)
@@ -177,11 +176,8 @@ class Mesh:
     # -- derived quantities -------------------------------------------------
 
     def triangle_areas(self):
-        p = self.nodes
-        t = self.triangles
-        d1 = p[t[:, 1]] - p[t[:, 0]]
-        d2 = p[t[:, 2]] - p[t[:, 0]]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        """Signed area of each triangle, computed once per mesh."""
+        return self._areas
 
     def area(self):
         return float(self.triangle_areas().sum())
@@ -221,7 +217,8 @@ class Mesh:
         n = len(self.nodes)
         # the three oriented edges of each triangle, triangle by triangle
         oriented = self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-        lo, hi = oriented.min(axis=1), oriented.max(axis=1)
+        lo = np.minimum(oriented[:, 0], oriented[:, 1])
+        hi = np.maximum(oriented[:, 0], oriented[:, 1])
         # (lo, hi) as one integer sorts like the pair
         keys, first, counts = np.unique(lo * n + hi, return_index=True,
                                         return_counts=True)
@@ -245,17 +242,15 @@ class Mesh:
         This is the spacing the boundary-layer resolution cap compares
         against, so it must not understate the coarsest boundary cell.
         """
-        heights = 2.0 * self.triangle_areas()[edge_tris] / self.boundary_weights
+        heights = 2.0 * self._areas[edge_tris] / self.boundary_weights
         worst = float(heights.max(initial=0.0))
         return worst if worst > 0 else self.h_interior
 
     def _validate(self):
-        areas = self.triangle_areas()
-        bad = np.where(areas <= 0)[0]
+        bad = np.flatnonzero(self._areas <= 0)
         if bad.size:
-            raise GeometryError(
-                f"triangle {int(bad[0])} has non-positive area {areas[bad[0]]:g}"
-            )
+            raise GeometryError(f"triangle {int(bad[0])} has non-positive "
+                                f"area {self._areas[bad[0]]:g}")
         # an edge shorter than about 1e-154 has a length that underflows
         short = np.flatnonzero(self.boundary_weights <= 0)
         if short.size:
@@ -311,16 +306,8 @@ class Mesh:
                                 dtype=np.int64).reshape(b, 2)
         except (ValueError, OverflowError):  # an index beyond int64 too
             raise GeometryError(f"mesh file {path} has a non-numeric entry")
-        if not (np.abs(nodes) <= _MAX_LENGTH).all():  # NaN too
-            raise GeometryError(f"mesh file {path} has a coordinate not "
-                                f"within +-{_MAX_LENGTH:g}")
-        if t == 0:
-            raise GeometryError(f"mesh file {path} has no triangles")
-        for what, ids in (("triangle", tris), ("boundary edge", declared)):
-            if ids.size and (ids.min() < 0 or ids.max() >= n):
-                raise GeometryError(f"mesh file {path} has a {what} index "
-                                    f"outside [0, {n})")
         try:
+            nodes, tris = _checked_arrays(nodes, tris)
             mesh = cls(nodes, tris, _median_edge_length(nodes, tris))
         except GeometryError as exc:
             raise GeometryError(f"mesh file {path}: {exc}") from None
@@ -331,6 +318,30 @@ class Mesh:
             raise GeometryError(f"mesh file {path} declares boundary edges "
                                 "that do not match its triangles")
         return mesh
+
+
+def _checked_arrays(nodes, triangles):
+    """Nodes and triangles as float and int64 arrays; ``GeometryError`` for
+    no triangle, a coordinate out of range or an index not an int in [0, N)."""
+    nodes = np.ascontiguousarray(nodes, dtype=float)
+    t = np.asarray(triangles)
+    if nodes.ndim != 2 or nodes.shape[1] != 2:
+        raise GeometryError("nodes must be an (N, 2) array")
+    if t.ndim != 2 or t.shape[1] != 3:
+        raise GeometryError("triangles must be a (T, 3) array")
+    if not len(t):
+        raise GeometryError("mesh has no triangles")
+    # NaN fails too; catalogue coordinates reach 2a on an L-shape of arm a
+    if not (np.abs(nodes) <= 2 * _MAX_LENGTH).all():
+        raise GeometryError(
+            f"mesh has a coordinate not within +-{2 * _MAX_LENGTH:g}")
+    n = len(nodes)
+    # tested before the cast, which would truncate 2.5; NaN fails too
+    if t.dtype.kind not in "iuf" or not ((t >= 0) & (t < n)).all() or (
+            t % 1).any():
+        raise GeometryError(
+            f"mesh has a triangle index that is not an integer in [0, {n})")
+    return nodes, np.ascontiguousarray(t, dtype=np.int64)
 
 
 def _edge_set(edges):

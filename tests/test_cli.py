@@ -435,10 +435,14 @@ _SQUARE_MESH = ("5 4 4\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n"
     ("0.5 0.5", "1 0"),
     # triangle 0 listed clockwise
     ("0 1 4\n", "1 0 4\n"),
+    ("0 1 4\n", "0 1 4.5\n"),
+    # the header declares no triangles and the body lists none
+    ("5 4 4\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n0 1 4\n1 2 4\n2 3 4\n3 0 4\n",
+     "5 0 4\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n"),
 ], ids=["non-integer header", "index >= N", "negative index",
         "NaN coordinate", "no interior node", "wrong boundary edge",
         "dropped boundary edge", "index beyond int64", "zero-area triangle",
-        "reversed triangle"])
+        "reversed triangle", "fractional index", "no triangles"])
 def test_malformed_mesh_file_is_clean_error(tmp_path, capsys, good, bad):
     assert good in _SQUARE_MESH
     path = tmp_path / "bad.mesh"
@@ -514,3 +518,47 @@ def test_import_warns_when_scipy_linalg_came_first():
                 assert "OPENBLAS_NUM_THREADS=1" in proc.stderr
             outs.add(proc.stdout)
     assert len(outs) == 1 and "lambda_mu" in outs.pop()
+
+
+# runs main on each argv of argv[1] (JSON) in one interpreter, counting the
+# calls of build_parser from before robinopt.cli is imported
+_IN_ONE_PROCESS = """
+import contextlib, io, json, sys
+builds = []
+sys.setprofile(lambda frame, event, arg: builds.append(1) if (
+    event == "call" and frame.f_code.co_name == "build_parser") else None)
+import robinopt.cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = robinopt.cli.main(argv)
+    results.append([code, out.getvalue()])
+sys.setprofile(None)
+print(json.dumps({"builds": len(builds), "results": results}))
+"""
+
+
+def test_main_reuses_one_parser_across_calls():
+    # the parser is built once, at import; every later call parses with it
+    # and prints what a fresh interpreter prints for the same arguments
+    sweep = ["sweep", "--domain", "disk:1", "--h", "0.2", "--mu-from", "-2",
+             "--mu-to", "1", "--mu-count", "3"]
+    calls = [sweep, ["sweep", "--domain", "disk:1"],
+             ["oracle", "--domain", "disk:1", "--s", "-1", "--sigma", "-5",
+              "--format", "json"], sweep]
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(robinopt.__file__)))
+    one = subprocess.run([sys.executable, "-c", _IN_ONE_PROCESS,
+                          json.dumps(calls)], env=env, check=True,
+                         capture_output=True, text=True)
+    report = json.loads(one.stdout.splitlines()[-1])
+    assert report["builds"] == 1
+    codes = []
+    for argv, (code, out) in zip(calls, report["results"]):
+        fresh = subprocess.run([sys.executable, "-m", "robinopt.cli", *argv],
+                               env=env, capture_output=True)
+        assert (code, out.encode()) == (fresh.returncode, fresh.stdout), argv
+        codes.append(code)
+    assert codes == [0, 1, 0, 0]
+    assert report["results"][0] == report["results"][3]

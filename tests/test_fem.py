@@ -26,7 +26,7 @@ from robinopt import (
     robin_principal_eigenvalue,
     solve_resolvent,
 )
-from robinopt import fem, verify
+from robinopt import fem, geometry, verify
 from robinopt.errors import BoundaryLayerWarning
 
 # frozen disk references (series/continued-fraction oracles)
@@ -48,6 +48,85 @@ def test_assembly_identities(disk_mesh_mid):
     # exactly symmetric as assembled, with no symmetrization
     assert (asm.K != asm.K.T).nnz == 0
     assert (asm.M != asm.M.T).nnz == 0
+
+
+# --- the COO assembly and the fancy-index slicing of the interior blocks
+# that the shared-pattern assembly replaced, as oracles ---
+
+def _oracle_assemble_km(mesh):
+    p = mesh.nodes
+    t = mesh.triangles
+    v0, v1, v2 = p[t[:, 0]], p[t[:, 1]], p[t[:, 2]]
+    e0 = v2 - v1
+    e1 = v0 - v2
+    e2 = v1 - v0
+    area = 0.5 * (e2[:, 0] * (-e1[:, 1]) - e2[:, 1] * (-e1[:, 0]))
+    edges = (e0, e1, e2)
+    rows, cols, kvals, mvals = [], [], [], []
+    for i in range(3):
+        for j in range(3):
+            rows.append(t[:, i])
+            cols.append(t[:, j])
+            kvals.append(np.sum(edges[i] * edges[j], axis=1) / (4.0 * area))
+            mvals.append(area / (6.0 if i == j else 12.0))
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    n = len(p)
+    K = scipy.sparse.csr_matrix((np.concatenate(kvals), (rows, cols)),
+                                shape=(n, n))
+    M = scipy.sparse.csr_matrix((np.concatenate(mvals), (rows, cols)),
+                                shape=(n, n))
+    K.eliminate_zeros()
+    return K, M
+
+
+def _keys(A, where=None):
+    """Sorted keys row n + col of the stored entries ``where`` picks."""
+    A = A.tocoo()
+    pick = np.ones(A.nnz, dtype=bool) if where is None else where(A.data)
+    return np.sort(A.row[pick].astype(np.int64) * A.shape[1] + A.col[pick])
+
+
+def _reordered(mesh, path):
+    """``mesh`` with shuffled nodes and rotated triangles, saved and loaded."""
+    rng = np.random.default_rng(7)
+    perm = rng.permutation(len(mesh.nodes))
+    new_id = np.argsort(perm)
+    tris = np.roll(new_id[mesh.triangles], 1, axis=1)[
+        rng.permutation(len(mesh.triangles))]
+    geometry.Mesh(mesh.nodes[perm], tris, mesh.h_interior).save(path)
+    return geometry.Mesh.load(path)
+
+
+@pytest.mark.parametrize("name", ["disk", "annulus", "rect", "ngon",
+                                  "lshape", "loaded"])
+def test_shared_pattern_assembly_matches_coo_oracle(catalogue, tmp_path,
+                                                    name):
+    for h in (0.1, 0.05):
+        for layer in (0.0, 0.05):
+            label = f"{name} h={h} layer={layer}"
+            mesh = generate_mesh(catalogue.get(name, Domain.disk(1.0)), h,
+                                 boundary_layer_width=layer)
+            if name == "loaded":
+                mesh = _reordered(mesh, tmp_path / "reordered.mesh")
+            asm = fem.Assembly(mesh)
+            K0, M0 = _oracle_assemble_km(mesh)
+            idx = asm.interior
+            for A, B in ((asm.K, K0), (asm.M, M0),
+                         (asm.K_II, K0[idx][:, idx].tocsc()),
+                         (asm.M_II, M0[idx][:, idx].tocsc())):
+                # equal to 1e-14 of each row's largest entry
+                diff = abs(A - B).max(axis=1).toarray().ravel()
+                scale = abs(B).max(axis=1).toarray().ravel()
+                assert (diff <= 1e-14 * scale).all(), label
+            assert (asm.K != asm.K.T).nnz == 0, label
+            assert (asm.K_II != asm.K_II.T).nnz == 0, label
+            # K keeps the exact zeros the oracle eliminated, and only those
+            assert np.array_equal(_keys(asm.K, lambda v: v == 0),
+                                  np.setdiff1d(_keys(M0), _keys(K0))), label
+            for A, B in ((asm.K, asm.M), (asm.K_II, asm.M_II)):
+                assert np.shares_memory(A.indptr, B.indptr), label
+                assert np.shares_memory(A.indices, B.indices), label
 
 
 def test_torsion_solution_disk(disk_mesh_mid):
@@ -520,7 +599,7 @@ def test_factorize_takes_superlu_past_band_budget(monkeypatch,
     width = asm.interior_scatter.width
     monkeypatch.setattr(fem, "_BAND_BUDGET", width * len(b))
     scatter = fem._BandScatter(asm.K_II, asm.M_II, asm.interior_order)
-    assert scatter.k_pos is None and scatter.m_pos is None
+    assert scatter.pos is None
     lu = fem._factorize(scatter, 1.0, -2.0)
     assert not isinstance(lu, fem._BandCholesky)
     x = lu.solve(b)

@@ -341,6 +341,91 @@ def test_mesh_topology_matches_loop_oracle(monkeypatch, catalogue, h, layer):
         assert mesh.h_boundary == looped.h_boundary, name
 
 
+def _oracle_numpy_topology(mesh):
+    """Boundary and areas as the row-reduction code computed them.
+
+    Edge keys from min and max over each edge's two ends, and areas
+    recomputed on every use; returns (edges, weights, areas, h_boundary).
+    """
+    p, t = mesh.nodes, mesh.triangles
+    n = len(p)
+    oriented = t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    lo, hi = oriented.min(axis=1), oriented.max(axis=1)
+    _, first, counts = np.unique(lo * n + hi, return_index=True,
+                                 return_counts=True)
+    once = first[counts == 1]
+    edges = oriented[once]
+    weights = np.linalg.norm(p[edges[:, 1]] - p[edges[:, 0]], axis=1)
+    d1 = p[t[:, 1]] - p[t[:, 0]]
+    d2 = p[t[:, 2]] - p[t[:, 0]]
+    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    heights = 2.0 * areas[once // 3] / weights
+    return edges, weights, areas, float(heights.max(initial=0.0))
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05])
+@pytest.mark.parametrize("layer", [0.0, 0.05], ids=["ungraded", "graded"])
+def test_mesh_matches_row_reduction_oracle_bytewise(tmp_path, catalogue, h,
+                                                    layer):
+    meshes = {name: generate_mesh(dom, h, boundary_layer_width=layer)
+              for name, dom in catalogue.items()}
+    meshes["annulus"].save(tmp_path / "annulus.mesh")
+    meshes["loaded"] = Mesh.load(tmp_path / "annulus.mesh")
+    for name, mesh in meshes.items():
+        edges, weights, areas, height = _oracle_numpy_topology(mesh)
+        assert mesh.boundary_edges.tobytes() == edges.tobytes(), name
+        assert mesh.boundary_weights.tobytes() == weights.tobytes(), name
+        assert mesh.triangle_areas().tobytes() == areas.tobytes(), name
+        assert mesh.h_boundary == height, name
+
+
+def _square(**changes):
+    """Unit square in four triangles around its centre, with ``changes``."""
+    parts = {"nodes": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                       [0.5, 0.5]],
+             "tris": [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]}
+    parts.update(changes)
+    return parts["nodes"], parts["tris"]
+
+
+_BAD_SQUARES = {
+    "negative index": (_square(tris=[[0, 1, 4], [1, 2, 4], [2, 3, 4],
+                                     [3, -1, 4]]), "triangle index"),
+    "index >= N": (_square(tris=[[0, 1, 4], [1, 2, 4], [2, 3, 4],
+                                 [3, 0, 5]]), "triangle index"),
+    "NaN coordinate": (_square(nodes=[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
+                                      [0.0, 1.0], [0.5, math.nan]]),
+                       "coordinate not within"),
+    "fractional index": (_square(tris=[[0, 1, 4], [1, 2, 4], [2, 3, 4],
+                                       [3, 0, 4.5]]), "triangle index"),
+    "no triangles": (_square(tris=np.zeros((0, 3), dtype=np.int64)),
+                     "no triangles"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SQUARES))
+def test_mesh_constructor_refuses_what_load_refuses(tmp_path, case):
+    (nodes, tris), match = _BAD_SQUARES[case]
+    Mesh(*_square(), 0.5)  # the unchanged square is a mesh
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match=match):
+            Mesh(nodes, tris, 0.5)
+        # the same arrays written to a mesh file; a fractional index is
+        # refused there as it is read
+        tris = np.asarray(tris)
+        path = tmp_path / "bad.mesh"
+        path.write_text(
+            f"{len(nodes)} {len(tris)} 4\n"
+            + "".join(f"{x!r} {y!r}\n" for x, y in nodes)
+            + "".join(" ".join(map(str, t)) + "\n" for t in tris.tolist())
+            + "0 1\n1 2\n2 3\n3 0\n")
+        with pytest.raises(GeometryError,
+                           match="non-numeric" if case == "fractional index"
+                           else match):
+            Mesh.load(path)
+
+
 def test_loaded_mesh_topology_matches_loop_oracle(tmp_path):
     mesh = generate_mesh(Domain.annulus(2.0, 1.0), 0.1,
                          boundary_layer_width=0.05)
