@@ -162,10 +162,9 @@ class Mesh:
         self.nodes, self.triangles = _checked_arrays(nodes, triangles)
         self.h_interior = float(h_interior)
         self.boundary_layer_width = float(boundary_layer_width)
-        p, t = self.nodes, self.triangles
-        d1 = p[t[:, 1]] - p[t[:, 0]]
-        d2 = p[t[:, 2]] - p[t[:, 0]]
-        self._areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        x, y = (self.nodes[:, k][self.triangles.T] for k in (0, 1))
+        self._areas = 0.5 * ((x[1] - x[0]) * (y[2] - y[0])
+                             - (y[1] - y[0]) * (x[2] - x[0]))
         self.boundary_edges, self.boundary_weights, edge_tris = (
             self._extract_boundary())
         self.boundary_nodes = np.unique(self.boundary_edges)
@@ -216,9 +215,9 @@ class Mesh:
         """
         n = len(self.nodes)
         # the three oriented edges of each triangle, triangle by triangle
-        oriented = self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-        lo = np.minimum(oriented[:, 0], oriented[:, 1])
-        hi = np.maximum(oriented[:, 0], oriented[:, 1])
+        tail = self.triangles.ravel()
+        head = self.triangles[:, [1, 2, 0]].ravel()
+        lo, hi = np.minimum(tail, head), np.maximum(tail, head)
         # (lo, hi) as one integer sorts like the pair
         keys, first, counts = np.unique(lo * n + hi, return_index=True,
                                         return_counts=True)
@@ -230,7 +229,7 @@ class Mesh:
                 "mesh is not a manifold"
             )
         once = first[counts == 1]
-        edges = oriented[once]
+        edges = np.column_stack((tail[once], head[once]))
         weights = np.linalg.norm(
             self.nodes[edges[:, 1]] - self.nodes[edges[:, 0]], axis=1
         )
