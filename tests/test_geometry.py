@@ -284,12 +284,20 @@ def _oracle_extract_boundary(nodes, triangles):
     return edges, weights
 
 
+def _oracle_areas(mesh):
+    """Triangle areas from row gathers, as each use once recomputed them."""
+    p, t = mesh.nodes, mesh.triangles
+    d1 = p[t[:, 1]] - p[t[:, 0]]
+    d2 = p[t[:, 2]] - p[t[:, 0]]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
 def _oracle_boundary_height(mesh, edges, weights):
     edge_to_tri = {}
     for ti, (i, j, k) in enumerate(mesh.triangles.tolist()):
         for a, b in ((i, j), (j, k), (k, i)):
             edge_to_tri[(min(a, b), max(a, b))] = ti
-    areas = mesh.triangle_areas()
+    areas = _oracle_areas(mesh)
     worst = 0.0
     for (a, b), w in zip(edges.tolist(), weights):
         worst = max(worst, 2.0 * areas[edge_to_tri[(min(a, b), max(a, b))]] / w)
@@ -322,6 +330,8 @@ def _assert_topology_matches_oracle(mesh, label):
     assert np.array_equal(mesh.boundary_edges, edges), label
     assert mesh.boundary_edges.dtype == edges.dtype, label
     assert mesh.boundary_weights.tobytes() == weights.tobytes(), label
+    areas = _oracle_areas(mesh)
+    assert mesh.triangle_areas().tobytes() == areas.tobytes(), label
     assert np.array_equal(mesh.boundary_nodes, np.unique(edges)), label
     measured = Mesh(mesh.nodes, mesh.triangles, mesh.h_interior)
     assert measured.h_boundary == _oracle_boundary_height(mesh, edges,
@@ -339,44 +349,6 @@ def test_mesh_topology_matches_loop_oracle(monkeypatch, catalogue, h, layer):
             looped = generate_mesh(dom, h, boundary_layer_width=layer)
         assert np.array_equal(mesh.triangles, looped.triangles), name
         assert mesh.h_boundary == looped.h_boundary, name
-
-
-def _oracle_numpy_topology(mesh):
-    """Boundary and areas as the row-reduction code computed them.
-
-    Edge keys from min and max over each edge's two ends, and areas
-    recomputed on every use; returns (edges, weights, areas, h_boundary).
-    """
-    p, t = mesh.nodes, mesh.triangles
-    n = len(p)
-    oriented = t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    lo, hi = oriented.min(axis=1), oriented.max(axis=1)
-    _, first, counts = np.unique(lo * n + hi, return_index=True,
-                                 return_counts=True)
-    once = first[counts == 1]
-    edges = oriented[once]
-    weights = np.linalg.norm(p[edges[:, 1]] - p[edges[:, 0]], axis=1)
-    d1 = p[t[:, 1]] - p[t[:, 0]]
-    d2 = p[t[:, 2]] - p[t[:, 0]]
-    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    heights = 2.0 * areas[once // 3] / weights
-    return edges, weights, areas, float(heights.max(initial=0.0))
-
-
-@pytest.mark.parametrize("h", [0.1, 0.05])
-@pytest.mark.parametrize("layer", [0.0, 0.05], ids=["ungraded", "graded"])
-def test_mesh_matches_row_reduction_oracle_bytewise(tmp_path, catalogue, h,
-                                                    layer):
-    meshes = {name: generate_mesh(dom, h, boundary_layer_width=layer)
-              for name, dom in catalogue.items()}
-    meshes["annulus"].save(tmp_path / "annulus.mesh")
-    meshes["loaded"] = Mesh.load(tmp_path / "annulus.mesh")
-    for name, mesh in meshes.items():
-        edges, weights, areas, height = _oracle_numpy_topology(mesh)
-        assert mesh.boundary_edges.tobytes() == edges.tobytes(), name
-        assert mesh.boundary_weights.tobytes() == weights.tobytes(), name
-        assert mesh.triangle_areas().tobytes() == areas.tobytes(), name
-        assert mesh.h_boundary == height, name
 
 
 def _square(**changes):
