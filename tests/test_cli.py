@@ -435,6 +435,7 @@ _SQUARE_MESH = ("5 4 4\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n"
     ("0.5 0.5", "1 0"),
     # triangle 0 listed clockwise
     ("0 1 4\n", "1 0 4\n"),
+    # a triangle index that is not an integer
     ("0 1 4\n", "0 1 4.5\n"),
     # the header declares no triangles and the body lists none
     ("5 4 4\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n0 1 4\n1 2 4\n2 3 4\n3 0 4\n",
