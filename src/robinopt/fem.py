@@ -27,12 +27,12 @@ storage in the mesh's reverse Cuthill-McKee order and is built once per
 ``Assembly`` and node set, and factorizes it by LAPACK band Cholesky. No
 sparse sum is formed: only SuperLU, with a symmetric minimum-degree
 ordering and diagonal pivots, gets the system as a sparse matrix, for a
-band of more than 2**23 entries or a system that is not positive definite
-(an eigen shift above the least eigenvalue). ``robinopt`` loads scipy's
-OpenBLAS single-threaded unless the caller set ``OPENBLAS_NUM_THREADS``,
-since a second thread stalls the band kernel. At most one factorization is
-live at a time. Other sums of matrices are applied, not built: K + B(sigma)
-as K v + d * v and K - s M as K v - s (M v).
+band of more than 2**23 entries. Both refuse a system that is not positive
+definite (``SolverError``). ``robinopt`` loads scipy's OpenBLAS
+single-threaded unless the caller set ``OPENBLAS_NUM_THREADS``, since a
+second thread stalls the band kernel. At most one factorization is live at
+a time. Other sums of matrices are applied, not built: K + B(sigma) as
+K v + d * v and K - s M as K v - s (M v).
 
 All solves are deterministic. Assembled matrices, their interior blocks,
 band scatters, resolvent solutions, the resolvent model (with E1), and
@@ -397,21 +397,20 @@ def _factorize(scatter, k, m, d=None):
     K and M are the matrices of ``scatter`` (an ``Assembly``'s ``scatter`` or
     ``interior_scatter``), d is 0 when None. The scatter's reverse
     Cuthill-McKee order narrows the band of P1 systems to b = 20-130 on the
-    benchmark's n = 1.2k-11k nodes, and A is written straight into LAPACK
-    band storage in that order, at the scatter's positions of their shared
-    pattern, in the steps k K, then d on the diagonal, then m M, each
-    rounded as the sparse sum (k K + diag(d)) + m M would round it. A
-    LAPACK band Cholesky (``dpbtrf``) factorizes it, the envelope method
-    for sparse SPD systems (George and Liu, 1981), faster than SuperLU
-    there. Two cases go to SuperLU instead, on that sum built as a sparse
-    matrix, with a symmetric minimum-degree order (MMD on A' + A), diagonal
-    pivots and its symmetric mode: a band of more than ``_BAND_BUDGET``
-    entries, and a matrix that is not positive definite, as the eigen
-    path's K + B - shift M is for a shift above the least eigenvalue. A
-    band factor therefore also certifies that every eigenvalue of A is
-    positive. The band kernel is fastest single-threaded; ``robinopt``
-    loads scipy's OpenBLAS with one thread unless the caller set
-    ``OPENBLAS_NUM_THREADS``.
+    benchmark's n = 1.2k-11k nodes, and A is written straight into LAPACK band
+    storage in that order, at the scatter's positions of their shared pattern,
+    in the steps k K, then d on the diagonal, then m M, each rounded as the
+    sparse sum (k K + diag(d)) + m M would round it. A LAPACK band Cholesky
+    (``dpbtrf``) factorizes it, the envelope method for sparse SPD systems
+    (George and Liu, 1981), faster than SuperLU there. Past ``_BAND_BUDGET``
+    entries SuperLU factorizes that sum, built as a sparse matrix, with a
+    symmetric minimum-degree order (MMD on A' + A), diagonal pivots and its
+    symmetric mode. Factors are returned only for a positive definite A, and
+    any other A is a ``SolverError``: the band Cholesky fails, and SuperLU's
+    pivots (U's diagonal, in one order for rows and columns) are those of A's
+    LDL', whose signs are A's inertia (Sylvester). The band kernel is fastest
+    single-threaded; ``robinopt`` loads scipy's OpenBLAS with one thread unless
+    the caller set ``OPENBLAS_NUM_THREADS``.
     """
     K, M = scatter.K, scatter.M
     if scatter.pos is not None:
@@ -427,20 +426,28 @@ def _factorize(scatter, k, m, d=None):
         band[scatter.pos] += mv
         band, info = dpbtrf(band.reshape(scatter.width + 1, -1, order="F"),
                             lower=1, overwrite_ab=1)
-        if info == 0:
-            return _BandCholesky(band, scatter.order)
+        if info:
+            raise SolverError("system is not positive definite")
+        return _BandCholesky(band, scatter.order)
     A = k * K
     if d is not None:
         A = A + sparse.diags(d)
-    return splu((A + m * M).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0, options={"SymmetricMode": True})
+    try:
+        lu = splu((A + m * M).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0, options={"SymmetricMode": True})
+    except RuntimeError:  # an exactly singular pivot
+        lu = None
+    if (lu is None or not np.array_equal(lu.perm_r, lu.perm_c)
+            or not (lu.U.diagonal() > 0).all()):
+        raise SolverError("system is not positive definite")
+    return lu
 
 
 def _solve_spd(scatter, m, rhs):
     """Direct solve of the SPD system (K + m M) x = b, residual-checked.
 
-    K and M are the matrices of ``scatter``. ``SolverError`` if the
-    factorization fails or its solution misses the gate
+    K and M are the matrices of ``scatter``. ``SolverError`` if
+    ``_factorize`` refuses the system or its solution misses the gate
     ||K x + m M x - b|| <= 1e-10 (1 + ||b||). Next to a singular shift
     that gate sits below the rounding floor of the residual, and neither
     refinement nor conjugate gradients get under it, so there is no
@@ -448,12 +455,8 @@ def _solve_spd(scatter, m, rhs):
     """
     rhs = np.asarray(rhs, dtype=float)
     gate = 1e-10 * (1.0 + np.linalg.norm(rhs))
-    try:
-        x = _factorize(scatter, 1.0, m).solve(rhs)
-        resid = float(np.linalg.norm(
-            scatter.K @ x + m * (scatter.M @ x) - rhs))
-    except RuntimeError:  # an exactly singular factor
-        resid = math.inf
+    x = _factorize(scatter, 1.0, m).solve(rhs)
+    resid = float(np.linalg.norm(scatter.K @ x + m * (scatter.M @ x) - rhs))
     if not resid <= gate:
         raise SolverError(
             f"linear solve missed its residual gate {gate:.3g}",
@@ -586,8 +589,9 @@ def resolvent_model(mesh):
     T = 0.5 * (T + T.T)
     ritz, Y = np.linalg.eigh(T)
     V = Q @ Y
-    e1 = _ground_pair(asm.interior_scatter, np.zeros(len(m1)), V[:, 0],
-                      1e-8 * ritz[0], 0.0, 0.0, lu)[0]
+    e1 = _ground_pair(K, M, 0.0, V[:, 0], 1e-8 * ritz[0], 0.0, 0.0,
+                      lambda shift: _factorize(asm.interior_scatter, 1.0,
+                                               -shift), lu)[0]
     half = min(k, _KRYLOV_DEPTH // 2)
     nested_ritz, Y = np.linalg.eigh(T[:half, :half])
     asm.model = ResolventModel(ritz, V, V.T @ m1, e1, nested_ritz,
@@ -622,17 +626,18 @@ def robin_principal_eigenvalue(mesh, sigma, v0=None):
     """Principal eigenvalue of the Robin problem with parameter ``sigma``.
 
     Solves (K + B(sigma)) u = lambda M u for its least eigenvalue with
-    ``_ground_pair``. Without ``v0`` the start is the constants and the
-    shift -1.5 max(-sigma)^2 - 1. A ``v0`` is the start, with the shift just
-    below its Rayleigh quotient, unless it changes sign: then the solve
-    starts cold. A start whose residual is at most ``_EIGEN_TOL`` (1e-8) is
-    returned after 0 iterations with no matrix built, as u_mu is for
-    sigma_mu and the constants are for sigma = 0. The eigenfunction is
-    M-normalized with a positive mean, and its residual is at most
-    ``_EIGEN_TOL``. It is positive where the discrete ground state is; a
-    concentrated sigma can make that state change sign, and it is then
-    returned as it is. ``SolverError`` after 200 iterations;
-    ``GeometryError`` for a sigma too large to square or a bad ``v0``.
+    ``_ground_pair``. Without ``v0`` the start is the constants and the shift
+    -1.5 max(-sigma)^2 - 1. A ``v0`` is the start, with the shift just below
+    its Rayleigh quotient, unless it changes sign: then the solve starts cold.
+    A refused shift is lowered, never below 4 min(d / m, 0) - 1 (d the diagonal
+    of B, m the lumped masses). A start whose residual is at most
+    ``_EIGEN_TOL`` (1e-8) is returned after 0 iterations with no matrix or band
+    scatter built, as u_mu is for sigma_mu and the constants are for sigma = 0.
+    The eigenfunction is M-normalized with a positive mean, and its residual is
+    at most ``_EIGEN_TOL``. It is positive where the discrete ground state is;
+    a concentrated sigma can make that state change sign, and it is then
+    returned as it is. ``SolverError`` after 200 iterations; ``GeometryError``
+    for a sigma too large to square or a bad ``v0``.
     """
     asm = assemble(mesh)
     d = asm.boundary_diagonal(sigma)
@@ -652,39 +657,37 @@ def robin_principal_eigenvalue(mesh, sigma, v0=None):
             v0 = -v0
         if v0.min() >= -1e-6 * v0.max():
             v, shift = v0, None
-    # lambda >= 4 min(d / m, 0), m the lumped masses: K >= 0, M >= diag(m) / 4
-    floor = 4.0 * min(0.0, float((d / asm.mass_times_one).min()))
-    lam, v, resid, its = _ground_pair(asm.scatter, d, v, _EIGEN_TOL, shift,
-                                      floor)
+    # K + B - floor M >= M: K >= 0 and M >= diag(m) / 4, m the lumped masses
+    floor = 4.0 * min(0.0, float((d / asm.mass_times_one).min())) - 1.0
+    lam, v, resid, its = _ground_pair(
+        asm.K, asm.M, d, v, _EIGEN_TOL, shift, floor,
+        lambda shift: _factorize(asm.scatter, 1.0, -shift, d))
     v = v if v @ asm.mass_times_one > 0 else -v
     return SpectralResult(lam, FieldSolution(mesh, v, TAG_EIGENFUNCTION),
                           resid, its)
 
 
-def _ground_pair(scatter, d, v, tol, shift, floor, lu=None):
+def _ground_pair(K, M, d, v, tol, shift, floor, factor, lu=None):
     """Lowest eigenpair of (K + diag(d), M) by block-one LOBPCG from ``v``.
 
-    K and M are the matrices of ``scatter``. Rayleigh-Ritz on the
-    M-normalized iterate x, the preconditioned residual T r and the last
-    step (Knyazev, SIAM J. Sci. Comput. 23(2), 2001), with
-    T = (A - shift M)^-1 factorized once by ``_factorize``, or the given
-    ``lu``.
-    A start that meets ``tol`` is returned after 0 steps, with nothing
-    built. A ``shift`` of None or above rho is reset to
-    rho - 0.05 (1 + |rho|); after 15 steps at one shift it moves up to
-    rho - 2 ||r||_{M^-1} if that is higher. Above the least eigenvalue T
-    is indefinite (``_factorize`` then takes SuperLU), and a higher mode
-    can stop the iteration: a converged x that changes sign, from a shift
-    above the lower bound ``floor``, restarts it from the constants below
-    ``floor``. Returns (rho, x, residual, steps); ``SolverError`` after 200
-    steps.
+    Rayleigh-Ritz on the M-normalized iterate x, the preconditioned residual T
+    r and the last step (Knyazev, SIAM J. Sci. Comput. 23(2), 2001), with T =
+    (K + diag(d) - shift M)^-1 from ``factor(shift)``, or the given ``lu`` at
+    the first shift. A start that meets ``tol`` is returned after 0 steps, with
+    nothing factorized. A ``shift`` of None or above rho is reset to rho - 0.05
+    (1 + |rho|); after 15 steps at one shift it moves up to rho - 2
+    ||r||_{M^-1} if that is higher. ``factor`` raises ``SolverError`` for a
+    system that is not positive definite, and the shift is then lowered, by
+    0.05 (1 + |shift|) and 4 times the last step at each further refusal, but
+    never below ``floor``, where a refusal is final. Once a factor succeeds,
+    shift < lambda_1 <= rho for the rest of the solve. Returns (rho, x,
+    residual, steps); ``SolverError`` after 200 steps.
     """
-    K, M = scatter.K, scatter.M
     n = len(v)
     S, AS, MS = (np.empty((n, 3), order="F") for _ in range(3))
     S[:, 0] = v
     x, w = S[:, 0], S[:, 1]
-    k, held, restarted = 2, 0, False  # k: columns in use, x w and then p
+    k, held = 2, 0  # k: columns in use, x w and then p
     for it in range(201):
         Mx = M @ x
         norm = math.sqrt(x @ Mx)
@@ -697,14 +700,7 @@ def _ground_pair(scatter, d, v, tol, shift, floor, lu=None):
         r = Ax - rho * Mx
         resid = float(np.linalg.norm(r))
         if resid <= tol:
-            u = x if Mx.sum() > 0 else -x
-            if (restarted or u.min() >= -1e-6 * u.max()
-                    or (shift is not None and shift <= floor)):
-                return rho, x.copy(), resid, it
-            x[:] = 1.0  # perhaps a higher mode: start again below floor
-            k, held, restarted, lu = 2, 0, True, None
-            shift = floor - 0.05 * (1.0 + abs(floor))
-            continue
+            return rho, x.copy(), resid, it
         if it == 200:
             break
         if shift is None or rho < shift:
@@ -714,12 +710,14 @@ def _ground_pair(scatter, d, v, tol, shift, floor, lu=None):
             near = rho - 4.0 * math.sqrt(r @ (r / (M @ np.ones(n))))
             if near > shift:
                 shift, lu, held = near, None, 0
-        if lu is None:
+        step = 0.05 * (1.0 + abs(shift))
+        while lu is None:
             try:
-                lu = _factorize(scatter, 1.0, -shift, d)
-            except RuntimeError as exc:
-                raise SolverError(
-                    f"factorization failed at shift {shift:g}: {exc}")
+                lu = factor(shift)
+            except SolverError:
+                if shift <= floor:
+                    raise
+                shift, step = max(shift - step, floor), 4.0 * step
         held += 1
         w[:] = lu.solve(r)
         w -= (Mx @ w) * x

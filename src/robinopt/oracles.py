@@ -134,8 +134,10 @@ def disk_lambda_mu(radius, mu):
 
 
 def corner_sum(angles):
-    """Sum of the corner coefficients c(alpha) over interior angles."""
-    return sum(specfun.corner_coefficient(a) for a in angles)
+    """Sum of the corner coefficients c(alpha) over a tuple of interior
+    angles, with one quadrature per distinct angle."""
+    return sum(angles.count(a) * specfun.corner_coefficient(a)
+               for a in dict.fromkeys(angles))
 
 
 def predict_lambda(domain):

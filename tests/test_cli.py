@@ -185,6 +185,20 @@ def test_heat_content_csv(capsys):
     assert qs[0] < 1.0
 
 
+def test_heat_content_refused_factorization_is_one_error_line(
+        monkeypatch, capsys):
+    # a band Cholesky that reports a system not positive definite is a
+    # SolverError: no SuperLU fallback and no traceback
+    monkeypatch.setattr(fem, "dpbtrf", lambda band, **kwargs: (band, 1))
+    code, out, err = run(capsys, "heat-content", "--domain", "disk:1",
+                         "--h", "0.1")
+    assert code == 1
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "positive definite" in lines[0]
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "nosuch")
     assert code == 1

@@ -335,6 +335,18 @@ def test_robin_eigen_warm_start_one_factorization(monkeypatch,
     assert len(lus) == 1
 
 
+def test_converged_eigen_check_builds_no_band_scatter():
+    # optimize's eigen check starts from u_mu and takes 0 steps, so the
+    # full-node band scatter is never built; the interior one is the
+    # model's
+    mesh = generate_mesh(Domain.disk(1.0), 0.1)
+    res = optimize(mesh, -8.0)
+    assert res.independent_lambda == pytest.approx(res.s_mu, abs=1e-9)
+    attrs = vars(assemble(mesh))
+    assert "scatter" not in attrs
+    assert "interior_scatter" in attrs
+
+
 @pytest.mark.parametrize("mu", [-8.0, 0.0, 4.0])
 def test_robin_eigen_converged_warm_start_needs_no_factorization(
         monkeypatch, disk_mesh_coarse, mu):
@@ -575,18 +587,108 @@ def test_band_scatter_matches_coo_band(monkeypatch, catalogue, name):
     assert len(bands) == len(systems)
 
 
-def test_factorize_takes_superlu_above_least_eigenvalue(disk_mesh_coarse):
-    # K + B - shift M is indefinite for a shift above lambda_1: no Cholesky
-    mesh = disk_mesh_coarse
+@pytest.mark.parametrize("budget", [fem._BAND_BUDGET, 0],
+                         ids=["band", "superlu"])
+def test_factorize_refuses_above_least_eigenvalue(monkeypatch, budget):
+    # K + B - shift M is indefinite for a shift above lambda_1: both
+    # backends refuse it, and both factor it below lambda_1
+    monkeypatch.setattr(fem, "_BAND_BUDGET", budget)
+    mesh = generate_mesh(Domain.disk(1.0), 0.1)
     asm = assemble(mesh)
     sigma = BoundaryFunction.constant(mesh, -2.0)
-    lam = robin_principal_eigenvalue(mesh, sigma).eigenvalue
+    lam = _dense_ground(mesh, sigma)[0]
     d = asm.boundary_diagonal(sigma)
-    A = asm.K + scipy.sparse.diags(d) - (lam + 1.0) * asm.M
-    lu = fem._factorize(asm.scatter, 1.0, -(lam + 1.0), d)
-    assert not isinstance(lu, fem._BandCholesky)
+    assert (asm.scatter.pos is None) == (budget == 0)
+    with pytest.raises(SolverError, match="not positive definite"):
+        fem._factorize(asm.scatter, 1.0, -(lam + 0.01), d)
+    lu = fem._factorize(asm.scatter, 1.0, -(lam - 1.0), d)
+    A = asm.K + scipy.sparse.diags(d) - (lam - 1.0) * asm.M
     b = asm.mass_times_one
     assert np.linalg.norm(A @ lu.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def _eigen_counts(monkeypatch):
+    """Calls of ``fem._factorize`` and of ``fem.splu``, counted."""
+    calls = {"factorize": 0, "splu": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(fem, "_factorize",
+                        counting("factorize", fem._factorize))
+    monkeypatch.setattr(fem, "splu", counting("splu", fem.splu))
+    return calls
+
+
+def _eigen_starts(mesh):
+    """The constants (cold) and three random positive starts."""
+    rng = np.random.default_rng(7)
+    return [None] + [rng.random(len(mesh.nodes)) ** p for p in (3, 6, 9)]
+
+
+def _eigsh_ground(mesh, sigma):
+    """Least eigenvalue by shift-invert ``eigsh`` from below the spectrum."""
+    asm = assemble(mesh)
+    d = asm.boundary_diagonal(sigma)
+    below = 4.0 * min(0.0, float((d / asm.mass_times_one).min())) - 1.0
+    A = (asm.K + scipy.sparse.diags(d)).tocsc()
+    return scipy.sparse.linalg.eigsh(A, 1, asm.M.tocsc(), sigma=below,
+                                     which="LM")[0][0]
+
+
+@pytest.mark.parametrize("spec", ["rect:1,1", "lshape", "disk:1"])
+def test_robin_eigen_refused_shifts_find_ground_state(monkeypatch, spec):
+    # cold shifts above lambda_1 (right-angle corners put it near -2
+    # sigma^2) and random starts far from the ground state: each refused
+    # band Cholesky lowers the shift, SuperLU never runs, and a certified
+    # shift is never reset
+    mesh = generate_mesh(geometry.parse_domain(spec), 0.06,
+                         boundary_layer_width=0.2)
+    calls = _eigen_counts(monkeypatch)
+    for value in (-5.0, -20.0, -40.0):
+        sigma = BoundaryFunction.constant(mesh, value)
+        ref = _eigsh_ground(mesh, sigma)
+        for v0 in _eigen_starts(mesh):
+            calls["factorize"] = 0
+            out = robin_principal_eigenvalue(mesh, sigma, v0=v0)
+            label = (value, v0 is None)
+            assert abs(out.eigenvalue - ref) <= 1e-10 * abs(ref), label
+            assert out.residual_norm <= 1e-8, label
+            assert 1 <= calls["factorize"] <= 8, label
+    assert calls["splu"] == 0
+
+
+def test_robin_eigen_sign_changing_ground_state_takes_no_restart(
+        monkeypatch):
+    # the discrete ground state here changes sign by min/max -2e-4; a cold
+    # solve refuses one shift and converges from the next
+    mesh = verify.mesh_for(Domain.disk(1.0), -80.0 * math.pi, 0.05)
+    calls = _eigen_counts(monkeypatch)
+    out = robin_principal_eigenvalue(mesh,
+                                     BoundaryFunction.constant(mesh, -40.0))
+    assert calls == {"factorize": 2, "splu": 0}
+    assert out.eigenvalue == pytest.approx(-1601.1669681121234, rel=1e-10)
+    assert out.residual_norm <= 1e-8
+
+
+@pytest.mark.parametrize("spec", ["rect:1,1", "lshape"])
+def test_robin_eigen_superlu_certifies_shifts(monkeypatch, spec):
+    # past the band budget SuperLU factors only positive definite systems
+    # too, so its refusals lower the shift just as the band's do
+    monkeypatch.setattr(fem, "_BAND_BUDGET", 0)
+    mesh = generate_mesh(geometry.parse_domain(spec), 0.06,
+                         boundary_layer_width=0.2)
+    sigma = BoundaryFunction.constant(mesh, -20.0)
+    ref = _eigsh_ground(mesh, sigma)
+    calls = _eigen_counts(monkeypatch)
+    for v0 in _eigen_starts(mesh):
+        calls["factorize"] = calls["splu"] = 0
+        out = robin_principal_eigenvalue(mesh, sigma, v0=v0)
+        assert abs(out.eigenvalue - ref) <= 1e-10 * abs(ref), v0 is None
+        assert 1 <= calls["factorize"] == calls["splu"] <= 8, v0 is None
 
 
 def test_factorize_takes_superlu_past_band_budget(monkeypatch,

@@ -145,6 +145,25 @@ def test_predict_lambda_lshape_uses_reflex_corner():
     assert p.subleading == pytest.approx(expected, rel=1e-9)
 
 
+def test_corner_sum_integrates_each_distinct_angle_once(monkeypatch):
+    # five right angles and one reflex one: two quadratures, not six
+    import scipy.integrate
+
+    quads = []
+    original = scipy.integrate.quad
+
+    def counting_quad(*args, **kwargs):
+        quads.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
+    p = predict_lambda(Domain.lshape())
+    assert len(quads) == 2
+    expected = 2 * (5 * corner_coefficient(math.pi / 2)
+                    + corner_coefficient(3 * math.pi / 2)) / 64.0
+    assert p.subleading == pytest.approx(expected, rel=1e-12)
+
+
 def test_disk_two_term_prediction_bounded_remainder():
     p = predict_lambda(Domain.disk(1.0))
     rs = []
