@@ -626,18 +626,18 @@ def robin_principal_eigenvalue(mesh, sigma, v0=None):
     """Principal eigenvalue of the Robin problem with parameter ``sigma``.
 
     Solves (K + B(sigma)) u = lambda M u for its least eigenvalue with
-    ``_ground_pair``. Without ``v0`` the start is the constants and the shift
-    -1.5 max(-sigma)^2 - 1. A ``v0`` is the start, with the shift just below
-    its Rayleigh quotient, unless it changes sign: then the solve starts cold.
-    A refused shift is lowered, never below 4 min(d / m, 0) - 1 (d the diagonal
-    of B, m the lumped masses). A start whose residual is at most
-    ``_EIGEN_TOL`` (1e-8) is returned after 0 iterations with no matrix or band
-    scatter built, as u_mu is for sigma_mu and the constants are for sigma = 0.
-    The eigenfunction is M-normalized with a positive mean, and its residual is
-    at most ``_EIGEN_TOL``. It is positive where the discrete ground state is;
-    a concentrated sigma can make that state change sign, and it is then
-    returned as it is. ``SolverError`` after 200 iterations; ``GeometryError``
-    for a sigma too large to square or a bad ``v0``.
+    ``_ground_pair``. Without ``v0`` the start is the constants and the
+    shift -1.5 max(-sigma)^2 - 1. A ``v0`` is the start, with the shift just
+    below its Rayleigh quotient, unless it changes sign: then the solve
+    starts cold. A refused shift is lowered, never below 4 min(d / m, 0) - 1
+    (d the diagonal of B, m the lumped masses). A start whose residual is at
+    most ``_EIGEN_TOL`` (1e-8) returns after 0 iterations, with no matrix or
+    band scatter built, as u_mu does for sigma_mu and the constants for
+    sigma = 0. The eigenfunction is M-normalized with a positive mean, and its
+    residual is at most ``_EIGEN_TOL``. It is positive where the discrete
+    ground state is; a concentrated sigma can make that state change sign,
+    and it is then returned as it is. ``SolverError`` after 200 iterations;
+    ``GeometryError`` for a sigma too large to square or a bad ``v0``.
     """
     asm = assemble(mesh)
     d = asm.boundary_diagonal(sigma)
@@ -670,18 +670,18 @@ def robin_principal_eigenvalue(mesh, sigma, v0=None):
 def _ground_pair(K, M, d, v, tol, shift, floor, factor, lu=None):
     """Lowest eigenpair of (K + diag(d), M) by block-one LOBPCG from ``v``.
 
-    Rayleigh-Ritz on the M-normalized iterate x, the preconditioned residual T
-    r and the last step (Knyazev, SIAM J. Sci. Comput. 23(2), 2001), with T =
-    (K + diag(d) - shift M)^-1 from ``factor(shift)``, or the given ``lu`` at
-    the first shift. A start that meets ``tol`` is returned after 0 steps, with
-    nothing factorized. A ``shift`` of None or above rho is reset to rho - 0.05
-    (1 + |rho|); after 15 steps at one shift it moves up to rho - 2
-    ||r||_{M^-1} if that is higher. ``factor`` raises ``SolverError`` for a
-    system that is not positive definite, and the shift is then lowered, by
-    0.05 (1 + |shift|) and 4 times the last step at each further refusal, but
-    never below ``floor``, where a refusal is final. Once a factor succeeds,
-    shift < lambda_1 <= rho for the rest of the solve. Returns (rho, x,
-    residual, steps); ``SolverError`` after 200 steps.
+    Rayleigh-Ritz on the M-normalized iterate x, the preconditioned residual
+    T r and the last step (Knyazev, SIAM J. Sci. Comput. 23(2), 2001), with
+    T = (K + diag(d) - shift M)^-1 from ``factor(shift)``, or from ``lu`` at
+    the first shift. A start that meets ``tol`` returns after 0 steps, with
+    nothing factorized. A ``shift`` of None or above rho is reset to
+    rho - 0.05 (1 + |rho|); after 15 steps at one shift it moves up to
+    rho - 2 ||r||_{M^-1} if that is higher. ``factor`` raises ``SolverError``
+    on a system that is not positive definite: the shift is then lowered by
+    0.05 (1 + |shift|), each further refusal 4 times as far, but never
+    below ``floor``, where a refusal is final. Once a factor succeeds,
+    shift < lambda_1 <= rho for the rest of the solve. Returns
+    (rho, x, residual, steps); ``SolverError`` after 200 steps.
     """
     n = len(v)
     S, AS, MS = (np.empty((n, 3), order="F") for _ in range(3))

@@ -607,19 +607,16 @@ def test_factorize_refuses_above_least_eigenvalue(monkeypatch, budget):
     assert np.linalg.norm(A @ lu.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
 
 
-def _eigen_counts(monkeypatch):
-    """Calls of ``fem._factorize`` and of ``fem.splu``, counted."""
-    calls = {"factorize": 0, "splu": 0}
+def _count_splu(monkeypatch):
+    """SuperLU factorizations, one entry per ``fem.splu`` call."""
+    calls = []
+    splu = fem.splu
 
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
 
-    monkeypatch.setattr(fem, "_factorize",
-                        counting("factorize", fem._factorize))
-    monkeypatch.setattr(fem, "splu", counting("splu", fem.splu))
+    monkeypatch.setattr(fem, "splu", counting_splu)
     return calls
 
 
@@ -647,18 +644,19 @@ def test_robin_eigen_refused_shifts_find_ground_state(monkeypatch, spec):
     # shift is never reset
     mesh = generate_mesh(geometry.parse_domain(spec), 0.06,
                          boundary_layer_width=0.2)
-    calls = _eigen_counts(monkeypatch)
+    lus, _ = _count_lus(monkeypatch)
+    splus = _count_splu(monkeypatch)
     for value in (-5.0, -20.0, -40.0):
         sigma = BoundaryFunction.constant(mesh, value)
         ref = _eigsh_ground(mesh, sigma)
         for v0 in _eigen_starts(mesh):
-            calls["factorize"] = 0
+            lus.clear()
             out = robin_principal_eigenvalue(mesh, sigma, v0=v0)
             label = (value, v0 is None)
             assert abs(out.eigenvalue - ref) <= 1e-10 * abs(ref), label
             assert out.residual_norm <= 1e-8, label
-            assert 1 <= calls["factorize"] <= 8, label
-    assert calls["splu"] == 0
+            assert 1 <= len(lus) <= 8, label
+    assert not splus
 
 
 def test_robin_eigen_sign_changing_ground_state_takes_no_restart(
@@ -666,10 +664,11 @@ def test_robin_eigen_sign_changing_ground_state_takes_no_restart(
     # the discrete ground state here changes sign by min/max -2e-4; a cold
     # solve refuses one shift and converges from the next
     mesh = verify.mesh_for(Domain.disk(1.0), -80.0 * math.pi, 0.05)
-    calls = _eigen_counts(monkeypatch)
+    lus, _ = _count_lus(monkeypatch)
+    splus = _count_splu(monkeypatch)
     out = robin_principal_eigenvalue(mesh,
                                      BoundaryFunction.constant(mesh, -40.0))
-    assert calls == {"factorize": 2, "splu": 0}
+    assert len(lus) == 2 and not splus
     assert out.eigenvalue == pytest.approx(-1601.1669681121234, rel=1e-10)
     assert out.residual_norm <= 1e-8
 
@@ -683,12 +682,14 @@ def test_robin_eigen_superlu_certifies_shifts(monkeypatch, spec):
                          boundary_layer_width=0.2)
     sigma = BoundaryFunction.constant(mesh, -20.0)
     ref = _eigsh_ground(mesh, sigma)
-    calls = _eigen_counts(monkeypatch)
+    lus, _ = _count_lus(monkeypatch)
+    splus = _count_splu(monkeypatch)
     for v0 in _eigen_starts(mesh):
-        calls["factorize"] = calls["splu"] = 0
+        lus.clear()
+        splus.clear()
         out = robin_principal_eigenvalue(mesh, sigma, v0=v0)
         assert abs(out.eigenvalue - ref) <= 1e-10 * abs(ref), v0 is None
-        assert 1 <= calls["factorize"] == calls["splu"] <= 8, v0 is None
+        assert 1 <= len(lus) == len(splus) <= 8, v0 is None
 
 
 def test_factorize_takes_superlu_past_band_budget(monkeypatch,

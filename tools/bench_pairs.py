@@ -15,8 +15,10 @@ builds the workload, runs one round to warm up, then wraps
 ``robinopt.fem.dpbtrf``, ``dpbtrs`` and ``splu`` by name and the
 constructors of ``geometry.Mesh``, ``fem.Assembly`` and ``fem._BandScatter``
 in their classes, and runs one more round. It records, for that round, the
-calls and seconds of each, and how many ``dpbtrf`` calls failed (info != 0,
-a system that is not positive definite).
+calls and seconds of each, and how many ``dpbtrf`` calls failed (info != 0:
+a system that is not positive definite, which ``fem._factorize`` refuses;
+in the eigen path a refused shift, which is then lowered, and anywhere
+else an error).
 
 The JSON written to ``--out`` holds the host, both commits, every run, each
 side's median and quartiles per end-to-end metric, how many pairs the tree
