@@ -18,21 +18,22 @@ once the model shows the heat outside the ground mode below e^-12 |Omega|,
 at 12 / E1 at the latest, and closes the tail with the ground mode, which
 misses at most e^-12 of |Omega| / (E1 - s).
 
-K and M share one CSR pattern (K keeps its exact zeros), and so do their
-interior blocks. Every system factorized is k K + m M + diag(d), on all
-nodes or on the interior ones, and every factorization goes through
-``_factorize``. It writes the system's band straight from the mesh's band
-scatter, which maps the entries of the shared pattern into LAPACK band
-storage in the mesh's reverse Cuthill-McKee order and is built once per
-``Assembly`` and node set, and factorizes it by LAPACK band Cholesky. No
-sparse sum is formed: only SuperLU, with a symmetric minimum-degree
-ordering and diagonal pivots, gets the system as a sparse matrix, for a
-band of more than 2**23 entries. Both refuse a system that is not positive
-definite (``SolverError``). ``robinopt`` loads scipy's OpenBLAS
-single-threaded unless the caller set ``OPENBLAS_NUM_THREADS``, since a
-second thread stalls the band kernel. At most one factorization is live at
-a time. Other sums of matrices are applied, not built: K + B(sigma) as
-K v + d * v and K - s M as K v - s (M v).
+K and M share one CSR pattern, the mesh's edge table read with no second
+sort (K keeps its exact zeros), and so do their interior blocks. Every
+system factorized is k K + m M + diag(d), on all nodes or on the interior
+ones, and every factorization goes through ``_factorize``. It writes the
+system's band straight from the mesh's band scatter, which maps the entries
+of the shared pattern into LAPACK band storage in the mesh's reverse
+Cuthill-McKee order and is built once per ``Assembly`` and node set, and
+factorizes it by LAPACK band Cholesky. No sparse sum is formed: only
+SuperLU, with a symmetric minimum-degree ordering and diagonal pivots, gets
+the system as a sparse matrix, for a band of more than 2**23 entries. Both
+refuse a system that is not positive definite (``SolverError``).
+``robinopt`` loads scipy's OpenBLAS single-threaded unless the caller set
+``OPENBLAS_NUM_THREADS``, since a second thread stalls the band kernel. At
+most one factorization is live at a time. Other sums of matrices are
+applied, not built: K + B(sigma) as K v + d * v and K - s M as
+K v - s (M v).
 
 All solves are deterministic. Assembled matrices, their interior blocks,
 band scatters, resolvent solutions, the resolvent model (with E1), and
@@ -201,7 +202,7 @@ class SpectralResult:
 
 
 class Assembly:
-    """Assembled P1 matrices for one mesh.
+    """Assembled P1 matrices for one mesh, on the pattern of its edge table.
 
     Attributes
     ----------
@@ -274,30 +275,42 @@ class Assembly:
 def _assemble_km(mesh):
     """K and M in CSR on one pattern: K stores the zeros its terms cancel to.
 
-    The stably sorted keys row n + col of the local entries give the pattern,
-    and each entry sums its local ones in their order. An edge has at most
-    two triangles, and a sum of two terms does not depend on their order, so
+    The pattern is the mesh's edge table (``Mesh.edge_keys``), so no second
+    sort finds it: row i holds the edges whose larger end is i, the
+    diagonal, then the edges whose smaller end is i. A diagonal entry sums
+    its terms by local vertex, then by triangle; an edge has at most two
+    triangles, and a sum of two terms does not depend on their order, so
     both matrices are exactly symmetric.
     """
     p, t = mesh.nodes, np.ascontiguousarray(mesh.triangles.T)
     n = len(p)
     area = mesh.triangle_areas()
-    x, y = p[:, 0][t], p[:, 1][t]
-    # edge vectors opposite each local node
-    ex, ey = x[[2, 0, 1]] - x[[1, 2, 0]], y[[2, 0, 1]] - y[[1, 2, 0]]
-    kvals = (ex[:, None] * ex + ey[:, None] * ey) / (4.0 * area)
-    mvals = area / np.where(np.eye(3, dtype=bool), 6.0, 12.0)[:, :, None]
-    keys = (t[:, None] * n + t).ravel()
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    new = np.concatenate(([True], keys[1:] != keys[:-1]))
-    slot = np.cumsum(new, dtype=np.int32) - 1
-    keys = keys[new]
-    pattern = ((keys % n).astype(np.int32),
-               np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32))
-    return tuple(sparse.csr_matrix((np.bincount(slot, vals.ravel()[order]),
-                                    *pattern), shape=(n, n))
-                 for vals in (kvals, mvals))
+    # edge vectors opposite each local node; side k joins nodes k and k + 1
+    ex, ey = (c[[2, 0, 1]] - c[[1, 2, 0]] for c in (p[:, 0][t], p[:, 1][t]))
+    lo, hi = np.divmod(mesh.edge_keys, n)
+    # a[i], b[i]: the edges whose smaller, larger end is below i; row i
+    # starts after i diagonals and a[i] + b[i] edge entries
+    a, b = (np.concatenate(([0], np.cumsum(np.bincount(v, minlength=n))))
+            for v in (lo, hi))
+    rows = np.arange(n + 1)
+    indptr = (rows + a + b).astype(np.int32)
+    diagonal = rows[:-1] + a[:-1] + b[1:]
+    # the e-th edge by (lo, hi) and the e-th by (hi, lo) (stably by hi) have
+    # e + lo + 1 + b[lo + 1] and e + hi + a[hi] entries before them
+    e, by_hi = np.arange(len(lo)), np.argsort(hi, kind="stable")
+    upper, lower, h = lo + b[lo + 1] + 1 + e, np.empty_like(e), hi[by_hi]
+    lower[by_hi] = e + h + a[h]
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    indices[diagonal], indices[upper], indices[lower] = rows[:-1], hi, lo
+    q, nxt, mats = 4.0 * area, [1, 2, 0], []
+    for d, o in (((ex * ex + ey * ey) / q, (ex * ex[nxt] + ey * ey[nxt]) / q),
+                 (np.tile(area / 6.0, 3), np.tile(area / 12.0, 3))):
+        data = np.empty(len(indices))
+        data[diagonal] = np.bincount(t.ravel(), d.ravel(), minlength=n)
+        data[upper] = data[lower] = np.bincount(
+            mesh.side_edges.T.ravel(), o.ravel(), minlength=len(lo))
+        mats.append(sparse.csr_matrix((data, indices, indptr), shape=(n, n)))
+    return tuple(mats)
 
 
 def _blocks(K, M, keep):
@@ -584,6 +597,7 @@ def resolvent_model(mesh):
             Q[:, k] = w / norm
             MQ[:, k] = rhs = Mw / norm
             k += 1
+    del MQ  # the M-products serve the Gram-Schmidt passes alone
     Q = Q[:, :k]
     T = Q.T @ (K @ Q)
     T = 0.5 * (T + T.T)

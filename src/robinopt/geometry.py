@@ -155,6 +155,9 @@ class Mesh:
     h_interior : target interior spacing
     h_boundary : largest normal height of a boundary-edge triangle, measured
     boundary_layer_width : grading width the mesh was generated with
+    edge_keys : (E,) sorted int64 keys lo N + hi of the edges (lo < hi); the
+        one place that decides which nodes couple
+    side_edges : (T, 3) int32 edge index of each side (t[k], t[k + 1 mod 3])
     """
 
     def __init__(self, nodes, triangles, h_interior, *,
@@ -211,7 +214,7 @@ class Mesh:
         """Edges that belong to one triangle, oriented as in that triangle.
 
         Returns (edges, lengths, triangle of each edge), in the lexicographic
-        order of the sorted edge keys.
+        order of the sorted edge keys, and sets ``edge_keys``, ``side_edges``.
         """
         n = len(self.nodes)
         # the three oriented edges of each triangle, triangle by triangle
@@ -219,8 +222,9 @@ class Mesh:
         head = self.triangles[:, [1, 2, 0]].ravel()
         lo, hi = np.minimum(tail, head), np.maximum(tail, head)
         # (lo, hi) as one integer sorts like the pair
-        keys, first, counts = np.unique(lo * n + hi, return_index=True,
-                                        return_counts=True)
+        keys, first, side, counts = np.unique(
+            lo * n + hi, return_index=True, return_inverse=True,
+            return_counts=True)
         over = np.flatnonzero(counts > 2)
         if over.size:
             a, b = divmod(int(keys[over[0]]), n)
@@ -228,6 +232,8 @@ class Mesh:
                 f"edge {(a, b)} shared by {int(counts[over[0]])} triangles; "
                 "mesh is not a manifold"
             )
+        self.edge_keys = keys
+        self.side_edges = side.astype(np.int32).reshape(-1, 3)
         once = first[counts == 1]
         edges = np.column_stack((tail[once], head[once]))
         weights = np.linalg.norm(

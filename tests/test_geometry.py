@@ -336,6 +336,20 @@ def _assert_topology_matches_oracle(mesh, label):
     measured = Mesh(mesh.nodes, mesh.triangles, mesh.h_interior)
     assert measured.h_boundary == _oracle_boundary_height(mesh, edges,
                                                           weights), label
+    # the edge table: sorted unique keys, each triangle side on its own key,
+    # and one triangle exactly on the boundary edges
+    n, keys = len(mesh.nodes), mesh.edge_keys
+    assert keys.dtype == np.int64 and (np.diff(keys) > 0).all(), label
+    assert mesh.side_edges.dtype == np.int32, label
+    assert mesh.side_edges.shape == mesh.triangles.shape, label
+    tail, head = mesh.triangles, np.roll(mesh.triangles, -1, axis=1)
+    assert np.array_equal(keys[mesh.side_edges],
+                          np.minimum(tail, head) * n + np.maximum(tail, head)
+                          ), label
+    counts = np.bincount(mesh.side_edges.ravel(), minlength=len(keys))
+    assert counts.min() >= 1 and counts.max() <= 2, label
+    lo, hi = np.sort(edges, axis=1).T
+    assert np.array_equal(keys[counts == 1], lo * n + hi), label
 
 
 @pytest.mark.parametrize("h", [0.1, 0.05])

@@ -20,11 +20,25 @@ a system that is not positive definite, which ``fem._factorize`` refuses;
 in the eigen path a refused shift, which is then lowered, and anywhere
 else an error).
 
+After the timed round the probe runs one more round under ``tracemalloc``
+and records its traced allocation peak (``traced_peak_mb``): numpy's
+arrays, apart from how much of the freed heap glibc keeps.
+
+Paired rounds then show gains smaller than the spread between runs: for
+each workload on seed 1, one warm worker per side (its own checkout's
+``src`` and ``perfbench``) builds the workload, and the two take turns at
+``ROUNDS`` whole rounds after ``WARMUP`` untimed ones, alternating which
+goes first. The claim rule stays the pairs'; the rounds are a finer
+reading.
+
 The JSON written to ``--out`` holds the host, both commits, every run, each
 side's median and quartiles per end-to-end metric, how many pairs the tree
-won (lower is better; ties count for neither side), the traced metrics and
-the probe: LAPACK and SuperLU calls (``lapack_seed1``) and the set-up of
-meshes, assemblies and band scatters (``setup_seed1``).
+won (lower is better; ties count for neither side), the traced metrics, the
+probe: LAPACK and SuperLU calls (``lapack_seed1``), the set-up of meshes,
+assemblies and band scatters (``setup_seed1``) and the traced peaks
+(``traced_peak_seed1``), and the paired rounds (``rounds_seed1``): each
+side's median round and op seconds, the median per-round ratio of tree to
+parent and the rounds the tree won.
 The host record names the numpy and scipy versions and the OpenBLAS and
 OpenMP thread variables as this interpreter sees them (null when unset):
 factorization speed depends on them.
@@ -48,6 +62,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = {"sweep": 10, "optimality": 10, "heat": 10}
 SEEDS = range(1, 11)
+ROUNDS, WARMUP = 30, 3
 
 
 def _git(*args):
@@ -86,7 +101,7 @@ def _run(checkout, workload, seed, seconds, trace):
 
 # The probe, run in the checkout by ``python -c``; prints one JSON line
 _PROBE = """
-import json, sys, tempfile, time
+import json, sys, tempfile, time, tracemalloc
 import robinopt.cli
 import robinopt as rb
 import workloads
@@ -122,23 +137,93 @@ with tempfile.TemporaryDirectory() as tmp:
         cls.__init__ = wrap(cls.__init__, entry)
     for _, fn in work.ops:
         fn()
-print(json.dumps({"lapack": lapack, "setup": setup}))
+    # a copy, since the wrappers go on counting in the traced round
+    record = json.loads(json.dumps({"lapack": lapack, "setup": setup}))
+    tracemalloc.start()
+    for _, fn in work.ops:
+        fn()
+    record["traced_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
+print(json.dumps(record))
+"""
+
+# A paired-round worker, run in the checkout by ``python -c``: builds the
+# workload on seed 1, then runs one round per line read and prints its
+# round and op seconds as one JSON line
+_TURNS = """
+import json, sys, tempfile, time
+import robinopt.cli
+import robinopt as rb
+import workloads
+
+with tempfile.TemporaryDirectory() as tmp:
+    work = workloads.build(sys.argv[1], rb, 1, tmp)
+    for _ in sys.stdin:
+        ops = []
+        for _, fn in work.ops:
+            t0 = time.perf_counter()
+            fn()
+            ops.append(time.perf_counter() - t0)
+        print(json.dumps({"round_s": sum(ops), "op_s": ops}), flush=True)
 """
 
 
-def _probe(checkout, workload):
-    """LAPACK, SuperLU and set-up calls of one warm round on seed 1."""
+def _env(checkout):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         str(Path(checkout) / d) for d in ("src", "perfbench")))
     env.pop("ROBINOPT_JOBS", None)
+    return env
+
+
+def _probe(checkout, workload):
+    """LAPACK, SuperLU and set-up calls of one warm round on seed 1, and
+    the traced allocation peak of the next."""
     proc = subprocess.run([sys.executable, "-c", _PROBE, workload],
-                          cwd=checkout, env=env, capture_output=True,
-                          text=True)
+                          cwd=checkout, env=_env(checkout),
+                          capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         return {"error": f"exit {proc.returncode}: "
                 f"{proc.stderr.strip()[-500:]}"}
     return json.loads(lines[-1])
+
+
+def _paired_rounds(sides, workload):
+    """Two warm workers, one per side, taking turns at rounds on seed 1."""
+    workers = {side: subprocess.Popen(
+        [sys.executable, "-c", _TURNS, workload], cwd=checkout,
+        env=_env(checkout), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL, text=True)
+        for side, checkout in sides.items()}
+    rounds = {side: [] for side in sides}
+    try:
+        for k in range(WARMUP + ROUNDS):
+            for side in (("parent", "change") if k % 2 == 0
+                         else ("change", "parent")):
+                worker = workers[side]
+                worker.stdin.write("round\n")
+                worker.stdin.flush()
+                line = worker.stdout.readline()
+                if not line:
+                    return {"error": f"{side} worker exited "
+                            f"{worker.wait()}"}
+                if k >= WARMUP:
+                    rounds[side].append(json.loads(line))
+    finally:
+        for worker in workers.values():
+            worker.stdin.close()
+            worker.wait()
+    out = {side: {"round_s_median": statistics.median(
+                      r["round_s"] for r in rounds[side]),
+                  "op_s_median": statistics.median(
+                      t for r in rounds[side] for t in r["op_s"])}
+           for side in sides}
+    ratios = [c["round_s"] / p["round_s"]
+              for p, c in zip(rounds["parent"], rounds["change"])]
+    out.update(rounds=ROUNDS, warmup=WARMUP,
+               round_ratio_median=statistics.median(ratios),
+               change_wins=sum(r < 1 for r in ratios))
+    return out
 
 
 def _spread(values):
@@ -231,6 +316,9 @@ def main():
                                  for side, probe in probes.items()},
                 "setup_seed1": {side: probe.get("setup", probe)
                                 for side, probe in probes.items()},
+                "traced_peak_seed1": {side: probe.get("traced_peak_mb", probe)
+                                      for side, probe in probes.items()},
+                "rounds_seed1": _paired_rounds(sides, workload),
             }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     return 0
