@@ -14,8 +14,9 @@ The probe runs each side once more on seed 1, in a fresh interpreter: it
 builds the workload, runs one round to warm up, then wraps
 ``robinopt.fem.dpbtrf``, ``dpbtrs`` and ``splu`` by name and the
 constructors of ``geometry.Mesh``, ``fem.Assembly`` and ``fem._BandScatter``
-in their classes, and runs one more round. It records, for that round, the
-calls and seconds of each, and how many ``dpbtrf`` calls failed (info != 0:
+in their classes, and ``fem.solve_resolvent`` by name, and runs one more
+round. It records, for that round, the calls and seconds of each, and how
+many ``dpbtrf`` calls failed (info != 0:
 a system that is not positive definite, which ``fem._factorize`` refuses;
 in the eigen path a refused shift, which is then lowered, and anywhere
 else an error).
@@ -35,8 +36,9 @@ The JSON written to ``--out`` holds the host, both commits, every run, each
 side's median and quartiles per end-to-end metric, how many pairs the tree
 won (lower is better; ties count for neither side), the traced metrics, the
 probe: LAPACK and SuperLU calls (``lapack_seed1``), the set-up of meshes,
-assemblies and band scatters (``setup_seed1``) and the traced peaks
-(``traced_peak_seed1``), and the paired rounds (``rounds_seed1``): each
+assemblies and band scatters (``setup_seed1``), the resolvent solves
+(``resolvent_seed1``) and the traced peaks (``traced_peak_seed1``), and the
+paired rounds (``rounds_seed1``): each
 side's median round and op seconds, the median per-round ratio of tree to
 parent and the rounds the tree won.
 The host record names the numpy and scipy versions and the OpenBLAS and
@@ -108,6 +110,7 @@ import workloads
 
 name = sys.argv[1]
 lapack, setup = {}, {}
+resolvent = {"calls": 0, "s": 0.0}
 
 
 def wrap(fn, entry, key=None):
@@ -130,6 +133,7 @@ with tempfile.TemporaryDirectory() as tmp:
         lapack[key] = {"calls": 0, "s": 0.0}
         setattr(rb.fem, key, wrap(getattr(rb.fem, key), lapack[key], key))
     lapack["dpbtrf"]["failed"] = 0
+    rb.fem.solve_resolvent = wrap(rb.fem.solve_resolvent, resolvent)
     for module, cls in (("geometry", rb.geometry.Mesh),
                         ("fem", rb.fem.Assembly),
                         ("fem", rb.fem._BandScatter)):
@@ -138,7 +142,8 @@ with tempfile.TemporaryDirectory() as tmp:
     for _, fn in work.ops:
         fn()
     # a copy, since the wrappers go on counting in the traced round
-    record = json.loads(json.dumps({"lapack": lapack, "setup": setup}))
+    record = json.loads(json.dumps({"lapack": lapack, "setup": setup,
+                                    "resolvent": resolvent}))
     tracemalloc.start()
     for _, fn in work.ops:
         fn()
@@ -176,8 +181,8 @@ def _env(checkout):
 
 
 def _probe(checkout, workload):
-    """LAPACK, SuperLU and set-up calls of one warm round on seed 1, and
-    the traced allocation peak of the next."""
+    """LAPACK, SuperLU, set-up and resolvent calls of one warm round on
+    seed 1, and the traced allocation peak of the next."""
     proc = subprocess.run([sys.executable, "-c", _PROBE, workload],
                           cwd=checkout, env=_env(checkout),
                           capture_output=True, text=True)
@@ -316,6 +321,8 @@ def main():
                                  for side, probe in probes.items()},
                 "setup_seed1": {side: probe.get("setup", probe)
                                 for side, probe in probes.items()},
+                "resolvent_seed1": {side: probe.get("resolvent", probe)
+                                    for side, probe in probes.items()},
                 "traced_peak_seed1": {side: probe.get("traced_peak_mb", probe)
                                       for side, probe in probes.items()},
                 "rounds_seed1": _paired_rounds(sides, workload),
