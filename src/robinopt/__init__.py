@@ -89,7 +89,6 @@ from .fem import (
 from .optimizer import (
     OptimizeResult,
     eval_F,
-    eval_F_prime,
     optimize,
     small_mu_coefficient,
     solve_s_of_mu,

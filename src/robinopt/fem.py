@@ -36,10 +36,10 @@ applied, not built: K + B(sigma) as K v + d * v and K - s M as
 K v - s (M v).
 
 All solves are deterministic. Assembled matrices, their interior blocks,
-band scatters, resolvent solutions, the resolvent model (with E1), and
-heat curves are memoized on the mesh's ``Assembly``, which refers back to
-the mesh only weakly, so a dropped mesh is freed at once. Values are never
-mutated after construction, so sharing meshes across threads is safe.
+band scatters, the resolvent model (with E1), and heat curves are memoized
+on the mesh's ``Assembly``, which refers back to the mesh only weakly, so a
+dropped mesh is freed at once; resolvent solutions are not. Values are
+never mutated after construction, so sharing meshes across threads is safe.
 """
 
 import functools
@@ -218,6 +218,7 @@ class Assembly:
         M in ``order`` and of K_II and M_II in ``interior_order``, each
         built on first use, like ``model``; ``_factorize`` writes the band
         of every system on the mesh through one of them
+    model : the ``ResolventModel`` (see ``resolvent_model``)
 
     The mesh is held through a weak reference: the mesh owns its assembly,
     so a strong one back would keep a dropped mesh alive until a full
@@ -241,9 +242,6 @@ class Assembly:
         position[idx] = np.arange(len(idx))
         inner = position[self.order]
         self.interior_order = inner[inner >= 0]
-        self.model = None  # the ResolventModel, built on first use
-        # shift -> nodal values; wrapped on return, so no mesh is stored
-        self._resolvent_cache = {}
         self._heat_cache = {}
 
     @property
@@ -257,6 +255,48 @@ class Assembly:
     @functools.cached_property
     def interior_scatter(self):
         return _BandScatter(self.K_II, self.M_II, self.interior_order)
+
+    @functools.cached_property
+    def model(self):
+        """The ``ResolventModel``, built as ``resolvent_model`` describes."""
+        K, M = self.K_II, self.M_II
+        m1 = self.mass_times_one[self.interior]
+        s_cap = _s_cap(self.mesh)
+        area = self.mass_times_one.sum()
+        poles = (0.0,) if s_cap * area <= _ONE_POLE_REACH else (-s_cap, 0.0)
+        Q = np.empty((len(m1), _KRYLOV_DEPTH), order="F")
+        MQ = np.empty_like(Q)
+        k = 0
+        for p in poles:
+            lu = None  # release the last pole's factors before the next
+            lu = _factorize(self.interior_scatter, 1.0, -p)
+            rhs = m1
+            for _ in range(_KRYLOV_DEPTH // len(poles)):
+                w = lu.solve(rhs)
+                c = MQ[:, :k].T @ w
+                w -= Q[:, :k] @ c
+                w -= Q[:, :k] @ (MQ[:, :k].T @ w)
+                Mw = M @ w
+                norm = math.sqrt(w @ Mw)
+                # the M-norm of w before the passes is sqrt(|c|^2 + norm^2)
+                if not norm > 1e-10 * math.sqrt(c @ c + norm * norm):
+                    break
+                Q[:, k] = w / norm
+                MQ[:, k] = rhs = Mw / norm
+                k += 1
+        del MQ  # the M-products serve the Gram-Schmidt passes alone
+        Q = Q[:, :k]
+        T = Q.T @ (K @ Q)
+        T = 0.5 * (T + T.T)
+        ritz, Y = np.linalg.eigh(T)
+        V = Q @ Y
+        e1 = _ground_pair(K, M, 0.0, V[:, 0], 1e-8 * ritz[0], 0.0, 0.0,
+                          lambda shift: _factorize(self.interior_scatter, 1.0,
+                                                   -shift), lu)[0]
+        half = min(k, _KRYLOV_DEPTH // 2)
+        nested_ritz, Y = np.linalg.eigh(T[:half, :half])
+        return ResolventModel(ritz, V, V.T @ m1, e1, nested_ritz,
+                              Y.T @ (Q[:, :half].T @ m1))
 
     def boundary_diagonal(self, sigma):
         """Diagonal d of the boundary-mass matrix B(sigma), over all nodes.
@@ -302,15 +342,17 @@ def _assemble_km(mesh):
     lower[by_hi] = e + h + a[h]
     indices = np.empty(indptr[-1], dtype=np.int32)
     indices[diagonal], indices[upper], indices[lower] = rows[:-1], hi, lo
-    q, nxt, mats = 4.0 * area, [1, 2, 0], []
-    for d, o in (((ex * ex + ey * ey) / q, (ex * ex[nxt] + ey * ey[nxt]) / q),
-                 (np.tile(area / 6.0, 3), np.tile(area / 12.0, 3))):
+
+    def csr(d, o):
         data = np.empty(len(indices))
         data[diagonal] = np.bincount(t.ravel(), d.ravel(), minlength=n)
         data[upper] = data[lower] = np.bincount(
             mesh.side_edges.T.ravel(), o.ravel(), minlength=len(lo))
-        mats.append(sparse.csr_matrix((data, indices, indptr), shape=(n, n)))
-    return tuple(mats)
+        return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    q, nxt = 4.0 * area, [1, 2, 0]
+    K = csr((ex * ex + ey * ey) / q, (ex * ex[nxt] + ey * ey[nxt]) / q)
+    del ex, ey  # so M's terms are made once K's, and these, are freed
+    return K, csr(np.tile(area / 6.0, 3), np.tile(area / 12.0, 3))
 
 
 def _blocks(K, M, keep):
@@ -500,18 +542,14 @@ def solve_resolvent(mesh, s):
     exactly zero. The mesh's resolvent model is built first (see
     ``resolvent_model``), and its Galerkin solution is returned when its
     residual is at most 1e-12 ||M 1||, which holds across the resolved
-    shifts; otherwise a direct sparse solve gives u. The result depends only
-    on the mesh and s. Valid for any s <= 0 and for 0 < s below the first
-    Dirichlet eigenvalue. Warns when the mesh boundary spacing is too coarse
-    to resolve the |s|**-1/2 boundary layer.
+    shifts; otherwise a direct sparse solve gives u. Nothing is memoized; u
+    depends only on the mesh and s. Valid for any s <= 0 and for 0 < s
+    below the first Dirichlet eigenvalue. Warns when the mesh boundary
+    spacing is too coarse to resolve the |s|**-1/2 boundary layer.
     """
     s = float(s)
     asm = assemble(mesh)
     model = resolvent_model(mesh)
-    tag = TAG_TORSION if s == 0.0 else TAG_RESOLVENT
-    cached = asm._resolvent_cache.get(s)
-    if cached is not None:
-        return FieldSolution(mesh, cached, tag)
     if s > 0 and s >= model.e1 * (1.0 - 1e-9):
         raise SpectralRangeError(
             f"shift s={s:g} is at or above the first Dirichlet "
@@ -538,10 +576,7 @@ def solve_resolvent(mesh, s):
         )
     u = np.zeros(len(mesh.nodes))
     u[idx] = u_int
-    if len(asm._resolvent_cache) > 32:
-        asm._resolvent_cache.clear()
-    asm._resolvent_cache[s] = u
-    return FieldSolution(mesh, u, tag)
+    return FieldSolution(mesh, u, TAG_TORSION if s == 0.0 else TAG_RESOLVENT)
 
 
 # Krylov vectors of the resolvent model, shared evenly among its poles
@@ -553,7 +588,7 @@ _ONE_POLE_REACH = 6000.0
 
 
 def resolvent_model(mesh):
-    """Rational Krylov model of G(s) = int U_s, and E1 (memoized per mesh).
+    """Rational Krylov model of G(s) = int U_s, and E1 (``Assembly.model``).
 
     The poles are 0 alone, or -s_cap and 0 when s_cap |Omega| exceeds
     ``_ONE_POLE_REACH``, with -s_cap the most negative shift the mesh
@@ -569,48 +604,7 @@ def resolvent_model(mesh):
     from the lowest Ritz vector, which gives the ground energy E1 in few
     steps or none. No factorization outlives the build.
     """
-    asm = assemble(mesh)
-    if asm.model is not None:
-        return asm.model
-    K, M = asm.K_II, asm.M_II
-    m1 = asm.mass_times_one[asm.interior]
-    s_cap = _s_cap(mesh)
-    area = asm.mass_times_one.sum()
-    poles = (0.0,) if s_cap * area <= _ONE_POLE_REACH else (-s_cap, 0.0)
-    Q = np.empty((len(m1), _KRYLOV_DEPTH), order="F")
-    MQ = np.empty_like(Q)
-    k = 0
-    for p in poles:
-        lu = None  # release the last pole's factors before the next
-        lu = _factorize(asm.interior_scatter, 1.0, -p)
-        rhs = m1
-        for _ in range(_KRYLOV_DEPTH // len(poles)):
-            w = lu.solve(rhs)
-            c = MQ[:, :k].T @ w
-            w -= Q[:, :k] @ c
-            w -= Q[:, :k] @ (MQ[:, :k].T @ w)
-            Mw = M @ w
-            norm = math.sqrt(w @ Mw)
-            # the M-norm of w before the passes is sqrt(|c|^2 + norm^2)
-            if not norm > 1e-10 * math.sqrt(c @ c + norm * norm):
-                break
-            Q[:, k] = w / norm
-            MQ[:, k] = rhs = Mw / norm
-            k += 1
-    del MQ  # the M-products serve the Gram-Schmidt passes alone
-    Q = Q[:, :k]
-    T = Q.T @ (K @ Q)
-    T = 0.5 * (T + T.T)
-    ritz, Y = np.linalg.eigh(T)
-    V = Q @ Y
-    e1 = _ground_pair(K, M, 0.0, V[:, 0], 1e-8 * ritz[0], 0.0, 0.0,
-                      lambda shift: _factorize(asm.interior_scatter, 1.0,
-                                               -shift), lu)[0]
-    half = min(k, _KRYLOV_DEPTH // 2)
-    nested_ritz, Y = np.linalg.eigh(T[:half, :half])
-    asm.model = ResolventModel(ritz, V, V.T @ m1, e1, nested_ritz,
-                               Y.T @ (Q[:, :half].T @ m1))
-    return asm.model
+    return assemble(mesh).model
 
 
 def normal_flux(mesh, u, s):

@@ -8,9 +8,9 @@ associated minimizer is s U_s + 1 (equal to one on the boundary by
 construction). The root is placed on the mesh's rational Krylov model of
 int U_s (``fem.resolvent_model``, built once per mesh), and one resolvent
 solve confirms it: the model's own Galerkin solution, certified by its
-residual, so no further factorization, or a direct solve where the
-certificate fails. All quantities here use mesh-derived area and perimeter
-so the discrete identities hold exactly.
+residual, or a direct solve where the certificate fails. ``optimize``
+builds on that one solution. All quantities here use mesh-derived area and
+perimeter so the discrete identities hold exactly.
 """
 
 from dataclasses import dataclass
@@ -61,22 +61,16 @@ class OptimizeResult:
 
 def eval_F(mesh, s):
     """F(s) = s^2 int U_s + s |Omega|, with the mesh area for |Omega|."""
-    asm = fem.assemble(mesh)
-    area = float(asm.mass_times_one.sum())
-    if s == 0.0:
-        return 0.0
-    u = fem.solve_resolvent(mesh, s)
-    return s * s * u.integral() + s * area
+    return _exact_F(mesh, s)[0]
 
 
-def eval_F_prime(mesh, s):
-    """F'(s) = int (1 + s U_s)^2, strictly positive."""
-    asm = fem.assemble(mesh)
+def _exact_F(mesh, s):
+    """(F(s), U_s) from one resolvent solve; (0, None) at s = 0."""
     if s == 0.0:
-        return float(asm.mass_times_one.sum())
+        return 0.0, None
+    area = float(fem.assemble(mesh).mass_times_one.sum())
     u = fem.solve_resolvent(mesh, s)
-    w = 1.0 + s * u.values
-    return float(w @ (asm.M @ w))
+    return s * s * u.integral() + s * area, u
 
 
 def _newton(F, F_prime, mu, lo, hi, s, edge, tol):
@@ -84,12 +78,12 @@ def _newton(F, F_prime, mu, lo, hi, s, edge, tol):
 
     A step that leaves the bracket bisects it instead, unless it crosses
     ``edge``, an end of the range where F is not yet known: then F is
-    evaluated there. Returns (s, F(s), evaluations) once |F(s) - mu| <= tol,
-    once F at the edge shows the root lies beyond it, or at the 100th
-    evaluation.
+    evaluated there. F returns F(s) and a value that goes with it. Returns
+    (s, F(s), that value, evaluations) once |F(s) - mu| <= tol, once F at
+    the edge shows the root lies beyond it, or at the 100th evaluation.
     """
     for n in range(1, 101):
-        f = F(s)
+        f, extra = F(s)
         if abs(f - mu) <= tol or n == 100:
             break
         if s == edge:
@@ -106,7 +100,7 @@ def _newton(F, F_prime, mu, lo, hi, s, edge, tol):
         elif not (lo < s_new < hi):
             s_new = 0.5 * (lo + hi)
         s = s_new
-    return s, f, n
+    return s, f, extra, n
 
 
 def solve_s_of_mu(mesh, mu, tol=None):
@@ -119,10 +113,11 @@ def solve_s_of_mu(mesh, mu, tol=None):
     inside [-s_cap, 0] for mu < 0, with s_cap the boundary-layer resolution
     cap, or [0, E1 (1 - 1e-4)] for mu > 0. One exact F at that point usually
     meets the tolerance; otherwise safeguarded Newton steps on the exact F
-    follow. "Exact" is ``fem.solve_resolvent``: the model's Galerkin solution
-    where its residual is at most 1e-12 ||M 1||, so F equals F~ there to
-    rounding, and a direct solve elsewhere. An end of the range is an error
-    only once the exact F there confirms that the root lies beyond it.
+    follow, with the model's slope F~'(s). "Exact" is ``fem.solve_resolvent``:
+    the model's Galerkin solution where its residual is at most
+    1e-12 ||M 1||, so F equals F~ there to rounding, and a direct solve
+    elsewhere. An end of the range is an error only once the exact F there
+    confirms that the root lies beyond it.
 
     Returns (s, iterations), counting the exact evaluations of F.
 
@@ -134,12 +129,17 @@ def solve_s_of_mu(mesh, mu, tol=None):
     SpectralRangeError
         If mu > 0 needs s too close to the Dirichlet ground energy.
     """
+    return _root(mesh, mu, tol)[:2]
+
+
+def _root(mesh, mu, tol):
+    """``solve_s_of_mu``'s (s, iterations), then its last exact F and U_s."""
     mu = float(mu)
     if tol is None:
         tol = default_tol(mu)
     fem._check_tol(tol)
     if mu == 0.0:
-        return 0.0, 0
+        return 0.0, 0, 0.0, None
     model = fem.resolvent_model(mesh)
     if mu < 0:
         lo = edge = -fem._s_cap(mesh)
@@ -151,7 +151,7 @@ def solve_s_of_mu(mesh, mu, tol=None):
     area = float(fem.assemble(mesh).mass_times_one.sum())
 
     def F_model(s):
-        return s * s * model(s)[0] + s * area
+        return s * s * model(s)[0] + s * area, None
 
     def F_model_prime(s):
         g, dg = model(s)
@@ -159,11 +159,10 @@ def solve_s_of_mu(mesh, mu, tol=None):
 
     s = _newton(F_model, F_model_prime, mu, lo, hi, 0.5 * (lo + hi), edge,
                 0.01 * tol)[0]
-    s, f, iters = _newton(lambda s: eval_F(mesh, s),
-                          lambda s: eval_F_prime(mesh, s),
-                          mu, lo, hi, s, edge, tol)
+    s, f, u, iters = _newton(lambda s: _exact_F(mesh, s), F_model_prime,
+                             mu, lo, hi, s, edge, tol)
     if abs(f - mu) <= tol:
-        return s, iters
+        return s, iters, f, u
     if s != edge or (f > mu) != (mu < 0):
         raise SolverError(
             f"root iteration for mu={mu:g} stalled at |F-mu|={abs(f - mu):g}"
@@ -186,28 +185,27 @@ def optimize(mesh, mu, tol=None):
     """Optimal boundary parameter and maximized eigenvalue for ``mu``.
 
     Builds sigma_mu = -s(mu) * normal flux of U_{s(mu)} and the minimizer
-    u_mu = s(mu) U_{s(mu)} + 1, then re-derives the eigenvalue with the
-    independent Robin eigensolver. The boundary integral of sigma_mu equals
-    F(s(mu)) exactly by the variational flux recovery, so its deviation
-    from mu is the root residual.
+    u_mu = s(mu) U_{s(mu)} + 1 from the root's last solve alone, then
+    re-derives the eigenvalue with the independent Robin eigensolver. The
+    boundary integral of sigma_mu equals F(s(mu)) exactly by the variational
+    flux recovery, so its deviation from mu is the root residual.
     """
     mu = float(mu)
     if tol is None:
         tol = default_tol(mu)
-    s, iters = solve_s_of_mu(mesh, mu, tol)
-    n = len(mesh.nodes)
+    s, iters, f, u_s = _root(mesh, mu, tol)
     if s == 0.0:
         sigma = fem.BoundaryFunction.constant(mesh, 0.0)
-        u_mu = fem.FieldSolution(mesh, np.ones(n), fem.TAG_MINIMIZER)
+        u_mu = fem.FieldSolution(mesh, np.ones(len(mesh.nodes)),
+                                 fem.TAG_MINIMIZER)
         f_resid = 0.0
     else:
-        u_s = fem.solve_resolvent(mesh, s)
         flux = fem.normal_flux(mesh, u_s, s)
         sigma = fem.BoundaryFunction(mesh, -s * flux.values)
         u_mu = fem.FieldSolution(
             mesh, s * u_s.values + 1.0, fem.TAG_MINIMIZER
         )
-        f_resid = abs(eval_F(mesh, s) - mu)
+        f_resid = abs(f - mu)
     if u_mu.values.min() <= 0.0:
         raise SolverError(
             "constructed minimizer lost positivity; mesh under-resolves "

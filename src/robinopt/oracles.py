@@ -63,9 +63,9 @@ def disk_F(radius, s):
 def disk_s_of_mu(radius, mu):
     """Invert the exact disk F: unique s <= 0 with F(s) = mu (mu <= 0).
 
-    The lower end of the bracket doubles until F falls below mu; Brent's
-    method then finds the root to relative accuracy 1e-13, which holds
-    down to the smallest |mu|.
+    The lower end of the bracket doubles until F falls below mu; Brent's method
+    then finds the root to relative accuracy 1e-13, which holds down to the
+    smallest |mu|. A root below the most negative float is a ``SolverError``.
     """
     if mu > 0:
         raise GeometryError("disk_s_of_mu handles mu <= 0; use "
@@ -73,9 +73,12 @@ def disk_s_of_mu(radius, mu):
     if mu == 0:
         return 0.0
     perim = 2.0 * math.pi * radius
-    lo = -4.0 * (mu / perim) ** 2 - 1.0
+    floor = math.nextafter(-math.inf, 0.0)  # the most negative float
+    if disk_F(radius, floor) > mu:
+        raise SolverError(f"disk root for mu={mu:g} is below -{-floor:g}")
+    lo = max(-4.0 * (mu / perim) ** 2 - 1.0, floor)
     while disk_F(radius, lo) > mu:
-        lo *= 2.0
+        lo = max(2.0 * lo, floor)
     from scipy.optimize import brentq
 
     # brentq needs a positive xtol; one this small leaves the stop to rtol
@@ -94,7 +97,8 @@ def disk_robin_lambda(radius, sigma):
     Negative parameters give lambda = -k^2 with k I1(kR)/I0(kR) = -sigma;
     positive parameters give lambda = k^2 with k J1(kR) = sigma J0(kR),
     taking the first positive root. Both roots are bracketed from k = 0 and
-    found by Brent's method to relative accuracy 1e-12 in k.
+    found by Brent's method to relative accuracy 1e-12 in k. An eigenvalue
+    that overflows is a ``SolverError``.
     """
     if radius <= 0:
         raise GeometryError("radius must be positive")
@@ -120,7 +124,10 @@ def disk_robin_lambda(radius, sigma):
         raise SolverError(
             f"disk Robin root-find stalled for sigma={sigma:g}"
         ) from exc
-    return -k * k if sigma < 0 else k * k
+    lam = -k * k if sigma < 0 else k * k
+    if not math.isfinite(lam):
+        raise SolverError(f"disk Robin eigenvalue overflows at {sigma=:g}")
+    return lam
 
 
 def disk_lambda_mu(radius, mu):

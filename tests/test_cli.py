@@ -258,6 +258,18 @@ def test_oracle_disk(capsys):
     assert payload["lambda_mu"] < 0
 
 
+@pytest.mark.parametrize("option", [("--mu", "-1e308"),
+                                    ("--sigma", "-1e200")])
+def test_oracle_overflow_is_clean_error(capsys, option):
+    # an eigenvalue past the float range would print -Infinity, which is
+    # not JSON
+    code, out, err = run(capsys, "oracle", "--domain", "disk:1", *option,
+                         "--format", "json")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_oracle_square_prediction_only(capsys):
     code, out, _ = run(capsys, "oracle", "--domain", "rect:1,1",
                        "--format", "json")

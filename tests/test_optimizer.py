@@ -12,10 +12,10 @@ from robinopt import (
     assemble,
     disk_F,
     eval_F,
-    eval_F_prime,
     generate_mesh,
     optimize,
     small_mu_coefficient,
+    solve_resolvent,
     solve_s_of_mu,
 )
 from robinopt import fem, optimizer, verify
@@ -35,19 +35,25 @@ def test_eval_F_matches_disk_closed_form(disk_mesh_mid):
                                                          rel=2e-3)
 
 
-def test_eval_F_prime_properties(disk_mesh_mid):
-    area = disk_mesh_mid.area()
-    assert eval_F_prime(disk_mesh_mid, 0.0) == pytest.approx(area)
-    for s in (-0.5, -5.0, -50.0):
-        fp = eval_F_prime(disk_mesh_mid, s)
-        assert 0.0 < fp <= area + 1e-12
-
-
-def test_eval_F_prime_finite_difference(disk_mesh_mid):
-    s = -3.0
+def _F_slope(mesh, s):
+    """Central difference of eval_F at s."""
     d = 1e-4 * (1 + abs(s))
-    fd = (eval_F(disk_mesh_mid, s + d) - eval_F(disk_mesh_mid, s - d)) / (2 * d)
-    assert eval_F_prime(disk_mesh_mid, s) == pytest.approx(fd, rel=1e-4)
+    return (eval_F(mesh, s + d) - eval_F(mesh, s - d)) / (2 * d)
+
+
+def test_eval_F_slope_properties(disk_mesh_mid):
+    # F' = int (1 + s U_s)^2 lies in (0, |Omega|], with |Omega| at s = 0
+    area = disk_mesh_mid.area()
+    assert _F_slope(disk_mesh_mid, 0.0) == pytest.approx(area, rel=1e-6)
+    for s in (-0.5, -5.0, -50.0):
+        assert 0.0 < _F_slope(disk_mesh_mid, s) <= area + 1e-12
+
+
+def test_eval_F_finite_difference(disk_mesh_mid):
+    s = -3.0
+    w = 1.0 + s * solve_resolvent(disk_mesh_mid, s).values
+    slope = float(w @ (assemble(disk_mesh_mid).M @ w))
+    assert _F_slope(disk_mesh_mid, s) == pytest.approx(slope, rel=1e-4)
 
 
 def test_root_solve_round_trip(disk_mesh_mid):
@@ -87,7 +93,7 @@ def test_positive_mu_out_of_range_is_one_exact_probe(monkeypatch):
     # the model; the model puts the root beyond the E1 floor, and one exact
     # F there, too close to E1 for the model's solution, confirms it
     mesh = generate_mesh(Domain.disk(1.0), 0.05, boundary_layer_width=0.045)
-    calls = {"_factorize": 0, "cg": 0, "eval_F": 0}
+    calls = {"_factorize": 0, "cg": 0, "solve_resolvent": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -98,11 +104,48 @@ def test_positive_mu_out_of_range_is_one_exact_probe(monkeypatch):
     monkeypatch.setattr(fem, "_factorize",
                         counting("_factorize", fem._factorize))
     monkeypatch.setattr(fem, "cg", counting("cg", fem.cg))
-    monkeypatch.setattr(optimizer, "eval_F",
-                        counting("eval_F", optimizer.eval_F))
+    monkeypatch.setattr(fem, "solve_resolvent",
+                        counting("solve_resolvent", fem.solve_resolvent))
     with pytest.raises(SpectralRangeError, match="smaller mu"):
         optimize(mesh, 1e9)
-    assert calls == {"_factorize": 2, "cg": 0, "eval_F": 1}
+    assert calls == {"_factorize": 2, "cg": 0, "solve_resolvent": 1}
+
+
+def _counting_solves(monkeypatch):
+    calls = []
+    solve = fem.solve_resolvent
+
+    def counting_solve(mesh, s):
+        calls.append(s)
+        return solve(mesh, s)
+
+    monkeypatch.setattr(fem, "solve_resolvent", counting_solve)
+    return calls
+
+
+@pytest.mark.parametrize("mu", [-20.0, -124.0, 1000.0])
+def test_optimize_solves_once_per_exact_evaluation(monkeypatch, mu):
+    # the root's own last solution builds sigma_mu, u_mu and F_residual:
+    # no solve follows the root, whether it took one exact evaluation or two
+    mesh = verify.mesh_for(Domain.rectangle(1.0, 1.0), -300.0, 0.05)
+    fem.resolvent_model(mesh)
+    calls = _counting_solves(monkeypatch)
+    res = optimize(mesh, mu)
+    assert len(calls) == res.iterations
+    assert calls[-1] == res.s_mu
+    assert res.F_residual <= res.tol
+
+
+@pytest.mark.parametrize("domain, mu", [(Domain.rectangle(1.0, 1.0), -124.0),
+                                        (Domain.disk(1.0), 1000.0)])
+def test_two_evaluation_roots_still_take_two(monkeypatch, domain, mu):
+    # the exact Newton step takes the model's slope F~'(s); on these roots
+    # it needs one step past the model's root, as F'(s) did
+    mesh = verify.mesh_for(domain, -300.0, 0.05)
+    calls = _counting_solves(monkeypatch)
+    s, iters = solve_s_of_mu(mesh, mu)
+    assert iters == len(calls) == 2
+    assert abs(eval_F(mesh, s) - mu) <= 1e-10 * (1 + abs(mu))
 
 
 def _counting_factorize(monkeypatch):
@@ -117,21 +160,28 @@ def _counting_factorize(monkeypatch):
     return calls
 
 
-def _assert_roots(mesh, mus):
+def _assert_roots(mesh, mus, calls):
+    """Each root meets its tolerance; the check's own exact F, a direct
+    solve where the root's was one, is left out of ``calls``."""
     for mu in mus:
         s, _ = solve_s_of_mu(mesh, mu)
+        counted = len(calls)
         assert abs(eval_F(mesh, s) - mu) <= 1e-10 * (1 + abs(mu))
+        del calls[counted:]
 
 
 def test_model_pole_zero_alone_lu_budget(monkeypatch):
     # pole 0 alone serves the mesh graded for mu = -100: one model LU, and
-    # a direct solve only where a root leaves the model's reach
+    # a direct solve only where a root leaves the model's reach, here the
+    # five roots at mu <= -38; optimize's root at -100 is one of them, and
+    # the sweep solves it again, as no resolvent solution is memoized
     mesh = verify.mesh_for(Domain.disk(1.0), -100.0, 0.03)
     calls = _counting_factorize(monkeypatch)
     res = optimize(mesh, -100.0)
     assert res.sigma_integral_error <= res.tol
-    _assert_roots(mesh, np.linspace(-100.0, 8.0, 8))
-    assert len(calls) == 6
+    assert len(calls) == 2
+    _assert_roots(mesh, np.linspace(-100.0, 8.0, 8), calls)
+    assert len(calls) == 7
 
 
 def test_model_adds_pole_s_cap_past_its_reach(monkeypatch):
@@ -140,7 +190,7 @@ def test_model_adds_pole_s_cap_past_its_reach(monkeypatch):
     mesh = verify.mesh_for(Domain.disk(1.0), -400.0, 0.03)
     assert fem._s_cap(mesh) * mesh.area() > fem._ONE_POLE_REACH
     calls = _counting_factorize(monkeypatch)
-    _assert_roots(mesh, np.linspace(-400.0, 8.0, 8))
+    _assert_roots(mesh, np.linspace(-400.0, 8.0, 8), calls)
     assert len(calls) == 15
 
 

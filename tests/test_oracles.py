@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.special import i0
 from robinopt import (
     Domain,
     GeometryError,
+    SolverError,
     corner_coefficient,
     disk_F,
     disk_lambda_mu,
@@ -111,6 +113,20 @@ def test_disk_robin_lambda_small_sigma_expansion():
             assert disk_robin_lambda(1.0, s) == pytest.approx(
                 2 * s - s * s / 2, rel=1e-10
             )
+
+
+def test_disk_oracles_refuse_results_past_the_float_range():
+    # s ~ -(mu / 2 pi)^2 and lambda ~ -sigma^2 leave the float range
+    # here; a root just inside it is still found
+    with pytest.raises(SolverError, match="is below"):
+        disk_s_of_mu(1.0, -1e160)
+    with pytest.raises(SolverError, match="overflows"):
+        disk_robin_lambda(1.0, -1e200)
+    with pytest.raises(SolverError, match="overflows"):
+        disk_lambda_mu(1.0, -1e308)
+    s = disk_s_of_mu(1.0, -8e154)
+    assert -sys.float_info.max < s < -1e308
+    assert disk_F(1.0, s) == pytest.approx(-8e154, rel=1e-12)
 
 
 def test_disk_lambda_mu_continuous_through_zero():
