@@ -349,9 +349,10 @@ def _assemble_km(mesh):
         data[upper] = data[lower] = np.bincount(
             mesh.side_edges.T.ravel(), o.ravel(), minlength=len(lo))
         return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+
     q, nxt = 4.0 * area, [1, 2, 0]
     K = csr((ex * ex + ey * ey) / q, (ex * ex[nxt] + ey * ey[nxt]) / q)
-    del ex, ey  # so M's terms are made once K's, and these, are freed
+    del ex, ey  # K's terms and inputs are freed before M's are made
     return K, csr(np.tile(area / 6.0, 3), np.tile(area / 12.0, 3))
 
 

@@ -111,15 +111,16 @@ def test_positive_mu_out_of_range_is_one_exact_probe(monkeypatch):
     assert calls == {"_factorize": 2, "cg": 0, "solve_resolvent": 1}
 
 
-def _counting_solves(monkeypatch):
+def _counting(monkeypatch, name):
+    """The positional arguments of each call of ``fem.<name>``, as made."""
     calls = []
-    solve = fem.solve_resolvent
+    fn = getattr(fem, name)
 
-    def counting_solve(mesh, s):
-        calls.append(s)
-        return solve(mesh, s)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(fem, "solve_resolvent", counting_solve)
+    monkeypatch.setattr(fem, name, counting)
     return calls
 
 
@@ -129,10 +130,10 @@ def test_optimize_solves_once_per_exact_evaluation(monkeypatch, mu):
     # no solve follows the root, whether it took one exact evaluation or two
     mesh = verify.mesh_for(Domain.rectangle(1.0, 1.0), -300.0, 0.05)
     fem.resolvent_model(mesh)
-    calls = _counting_solves(monkeypatch)
+    calls = _counting(monkeypatch, "solve_resolvent")
     res = optimize(mesh, mu)
     assert len(calls) == res.iterations
-    assert calls[-1] == res.s_mu
+    assert calls[-1][1] == res.s_mu
     assert res.F_residual <= res.tol
 
 
@@ -142,22 +143,10 @@ def test_two_evaluation_roots_still_take_two(monkeypatch, domain, mu):
     # the exact Newton step takes the model's slope F~'(s); on these roots
     # it needs one step past the model's root, as F'(s) did
     mesh = verify.mesh_for(domain, -300.0, 0.05)
-    calls = _counting_solves(monkeypatch)
+    calls = _counting(monkeypatch, "solve_resolvent")
     s, iters = solve_s_of_mu(mesh, mu)
     assert iters == len(calls) == 2
     assert abs(eval_F(mesh, s) - mu) <= 1e-10 * (1 + abs(mu))
-
-
-def _counting_factorize(monkeypatch):
-    calls = []
-    factorize = fem._factorize
-
-    def counting_factorize(*args, **kwargs):
-        calls.append(1)
-        return factorize(*args, **kwargs)
-
-    monkeypatch.setattr(fem, "_factorize", counting_factorize)
-    return calls
 
 
 def _assert_roots(mesh, mus, calls):
@@ -176,7 +165,7 @@ def test_model_pole_zero_alone_lu_budget(monkeypatch):
     # five roots at mu <= -38; optimize's root at -100 is one of them, and
     # the sweep solves it again, as no resolvent solution is memoized
     mesh = verify.mesh_for(Domain.disk(1.0), -100.0, 0.03)
-    calls = _counting_factorize(monkeypatch)
+    calls = _counting(monkeypatch, "_factorize")
     res = optimize(mesh, -100.0)
     assert res.sigma_integral_error <= res.tol
     assert len(calls) == 2
@@ -189,7 +178,7 @@ def test_model_adds_pole_s_cap_past_its_reach(monkeypatch):
     # more direct solves near -s_cap than it costs (pole 0 alone: 16 LUs)
     mesh = verify.mesh_for(Domain.disk(1.0), -400.0, 0.03)
     assert fem._s_cap(mesh) * mesh.area() > fem._ONE_POLE_REACH
-    calls = _counting_factorize(monkeypatch)
+    calls = _counting(monkeypatch, "_factorize")
     _assert_roots(mesh, np.linspace(-400.0, 8.0, 8), calls)
     assert len(calls) == 15
 
