@@ -18,7 +18,7 @@ from robinopt import (
     solve_resolvent,
     solve_s_of_mu,
 )
-from robinopt import fem, optimizer, verify
+from robinopt import fem, verify
 from robinopt.errors import BoundaryLayerWarning
 
 # double Fourier series oracle for the unit-square torsion integral
